@@ -197,7 +197,7 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
   best_speedup = 0.0;
   all_identical = true;
   const HistKernel kernels[] = {HistKernel::Scalar, HistKernel::Portable,
-                                HistKernel::Sse2, HistKernel::Avx2};
+                                HistKernel::Sse2};
   for (HistKernel kernel : kernels) {
     if (!hist_kernel_available(kernel)) continue;
     const bool scalar = kernel == HistKernel::Scalar;

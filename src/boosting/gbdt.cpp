@@ -165,10 +165,8 @@ GBDTModel train_gbdt(const DataView& train, const DataView* valid,
   if (shared == nullptr) local = build_substrate(train, params.max_bin);
   const BinMapper& mapper = shared ? shared->mapper : local.mapper;
   const BinnedMatrix& binned = shared ? shared->binned : local.binned;
-  // Hand the substrate's packed row-major layout to the grower when the
-  // build produced one (empty when the scalar kernel is forced).
-  const PackedBins& packed = shared ? shared->packed : local.packed;
-  GradientTreeGrower grower(mapper, binned, packed.empty() ? nullptr : &packed);
+  // Hand the substrate's packed row-major layout to the grower.
+  GradientTreeGrower grower(mapper, binned, shared ? &shared->packed : &local.packed);
 
   const std::size_t n = train.n_rows();
   std::vector<double> labels = train.labels();

@@ -107,6 +107,7 @@ constexpr int kForestStreamChunk = 8;
 ForestModel train_forest(const DataView& train, const ForestParams& params) {
   FLAML_REQUIRE(train.n_rows() >= 2, "forest needs at least 2 training rows");
   FLAML_REQUIRE(params.n_trees >= 1, "n_trees must be >= 1");
+  FLAML_REQUIRE(params.max_leaves >= 2, "max_leaves must be >= 2");
   const bool stream = static_cast<bool>(params.progress);
   FLAML_REQUIRE(!stream || params.valid != nullptr,
                 "streamed progress requires a validation view");
@@ -140,10 +141,8 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
   if (shared == nullptr) local = build_substrate(train, params.max_bin);
   const BinMapper& mapper = shared ? shared->mapper : local.mapper;
   const BinnedMatrix& binned = shared ? shared->binned : local.binned;
-  // The substrate's packed row-major layout (empty when the scalar kernel
-  // is forced; growers then pack locally or fall back to columns).
-  const PackedBins& packed = shared ? shared->packed : local.packed;
-  const PackedBins* packed_ptr = packed.empty() ? nullptr : &packed;
+  // The substrate's packed row-major layout, shared by every tree.
+  const PackedBins* packed_ptr = shared ? &shared->packed : &local.packed;
 
   ForestModel model(task, dataset.n_classes());
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "tree/histogram.h"
 
 namespace flaml {
 
@@ -86,9 +85,7 @@ BinnedSubstrate build_substrate(const DataView& view, int max_bin) {
   // With the default max_bin = 255 every code fits a byte, so the packed
   // copy costs half the column matrix — and each trainer that shares this
   // substrate skips its own per-grower pack.
-  if (packed_bins_enabled()) {
-    substrate.packed = PackedBins::pack(substrate.binned);
-  }
+  substrate.packed = PackedBins::pack(substrate.binned);
   substrate.max_bin = max_bin;
   return substrate;
 }

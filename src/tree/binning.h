@@ -75,11 +75,8 @@ class BinMapper {
 struct BinnedSubstrate {
   BinMapper mapper;
   BinnedMatrix binned;
-  // Row-major width-minimal layout of `binned` for the SIMD histogram
-  // kernels (src/tree/histogram.h). Built by build_substrate() unless the
-  // Scalar kernel is forced (packed_bins_enabled() == false), in which case
-  // it stays empty and growers fall back to the column layout — or pack
-  // locally if the kernel changes after the substrate was built.
+  // Row-major width-minimal layout of `binned` for the histogram kernels
+  // (src/tree/histogram.h); always built by build_substrate().
   PackedBins packed;
   int max_bin = 0;  // the fit() parameter, for compatibility checks
 

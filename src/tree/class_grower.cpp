@@ -1,16 +1,18 @@
 #include "tree/class_grower.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "tree/histogram.h"
+#include "tree/leafwise.h"
 
 namespace flaml {
 
 namespace {
+
+using treegrow::GrowState;
+using treegrow::kSmallLeafRows;
+using treegrow::SplitInfo;
 
 // Impurity of a class-count vector with total n (> 0), scaled by n so that
 // gain = imp(parent) - imp(left) - imp(right) is count-weighted.
@@ -29,218 +31,105 @@ double weighted_impurity(const std::vector<double>& counts, double n,
   return ent;  // n * entropy (nats)
 }
 
-struct ClassSplit {
-  double gain = -1.0;
-  int feature = -1;
-  int bin = -1;
-  bool categorical = false;
-  bool missing_left = false;
-  bool missing_only = false;
-  bool valid() const { return feature >= 0; }
-};
-
-struct ClassLeaf {
-  std::int32_t node = 0;
-  std::size_t begin = 0;
-  std::size_t count = 0;
-  int depth = 1;
-  std::vector<double> class_counts;           // size n_classes
-  std::vector<double> hist;                   // [bin_offset*K + class]
-  ClassSplit best;
-};
-
-class ClassGrowContext {
+// Split statistics of impurity trees: weighted class counts per bin under
+// gini/entropy. Leaves above kSmallLeafRows keep a [bin × class] histogram
+// (the larger child inherits the parent's and removes the smaller child's
+// rows); smaller leaves gather one feature at a time (compact scan) —
+// deep forests would otherwise spend their time allocating and scanning
+// mostly-empty bins×classes arrays.
+class ClassPolicy {
  public:
-  ClassGrowContext(const BinMapper& mapper, const BinnedMatrix& binned,
-                   const PackedBins* packed, HistKernel kernel, int n_classes,
-                   const std::vector<std::uint32_t>& rows, const std::vector<int>& labels,
-                   const std::vector<double>& weights, const ClassGrowerParams& params,
-                   Rng& rng)
-      : mapper_(mapper),
-        binned_(binned),
-        packed_(packed),
-        kernel_(kernel),
-        k_(n_classes),
-        labels_(labels),
-        weights_(weights),
-        params_(params),
-        rng_(rng),
-        pool_(params.n_threads > 1 ? &shared_pool() : nullptr),
-        buffer_(rows),
-        offsets_(histogram_offsets(mapper)) {
-    all_features_.resize(mapper.n_features());
-    for (std::size_t f = 0; f < mapper.n_features(); ++f) {
-      all_features_[f] = static_cast<int>(f);
-    }
-  }
-
-  Tree run() {
-    Tree tree;
-    std::vector<ClassLeaf> leaves;
-    ClassLeaf root;
-    root.node = 0;
-    root.begin = 0;
-    root.count = buffer_.size();
-    root.class_counts = count_classes(root);
-    if (root.count > kCompactThreshold) build_hist(root);
-    root.best = find_best_split(root);
-    leaves.push_back(std::move(root));
-
-    int n_leaves = 1;
-    while (params_.max_leaves <= 0 || n_leaves < params_.max_leaves) {
-      int pick = -1;
-      for (std::size_t i = 0; i < leaves.size(); ++i) {
-        if (!leaves[i].best.valid()) continue;
-        if (params_.max_depth > 0 && leaves[i].depth >= params_.max_depth) continue;
-        if (pick < 0 ||
-            leaves[i].best.gain > leaves[static_cast<std::size_t>(pick)].best.gain) {
-          pick = static_cast<int>(i);
-        }
-      }
-      if (pick < 0) break;
-
-      ClassLeaf leaf = std::move(leaves[static_cast<std::size_t>(pick)]);
-      leaves.erase(leaves.begin() + pick);
-      std::size_t left_count = partition(leaf, leaf.best);
-      FLAML_CHECK(left_count > 0 && left_count < leaf.count);
-
-      apply_split(tree, leaf.node, leaf.best);
-      auto [left_id, right_id] = tree.split_leaf(leaf.node);
-
-      ClassLeaf left, right;
-      left.node = left_id;
-      left.begin = leaf.begin;
-      left.count = left_count;
-      left.depth = leaf.depth + 1;
-      right.node = right_id;
-      right.begin = leaf.begin + left_count;
-      right.count = leaf.count - left_count;
-      right.depth = leaf.depth + 1;
-      left.class_counts = count_classes(left);
-      right.class_counts.resize(static_cast<std::size_t>(k_));
-      for (int c = 0; c < k_; ++c) {
-        right.class_counts[static_cast<std::size_t>(c)] =
-            leaf.class_counts[static_cast<std::size_t>(c)] -
-            left.class_counts[static_cast<std::size_t>(c)];
-      }
-      // The larger child inherits the parent's histogram buffer and removes
-      // the smaller child's rows in place — O(small × features) with no
-      // allocation. The smaller child gets a histogram only when it is big
-      // enough to warrant one; small leaves use the compact gathered scan
-      // in find_best_split (deep forests would otherwise spend all their
-      // time allocating and scanning mostly-empty bins×classes arrays).
-      ClassLeaf& small_child = left.count <= right.count ? left : right;
-      ClassLeaf& large_child = left.count <= right.count ? right : left;
-      if (leaf.count > kCompactThreshold) {
-        large_child.hist = std::move(leaf.hist);
-        remove_rows_from_hist(small_child, large_child.hist);
-        if (large_child.count <= kCompactThreshold) {
-          large_child.hist.clear();  // compact scan is cheaper
-          large_child.hist.shrink_to_fit();
-        }
-      }
-      if (small_child.count > kCompactThreshold) build_hist(small_child);
-      left.best = find_best_split(left);
-      right.best = find_best_split(right);
-      leaves.push_back(std::move(left));
-      leaves.push_back(std::move(right));
-      ++n_leaves;
-    }
-
-    auto& dists = tree.leaf_distributions();
-    dists.assign(tree.n_nodes(), {});
-    for (const auto& leaf : leaves) {
-      std::vector<double> dist(leaf.class_counts);
-      double total = 0.0;
-      for (double c : leaf.class_counts) total += c;
-      if (total <= 0.0) total = 1.0;
-      for (double& d : dist) d /= total;
-      dists[static_cast<std::size_t>(leaf.node)] = std::move(dist);
-      // Also store the majority-class probability-weighted value for scalar
-      // use (e.g. binary P(class 1)).
-      if (k_ == 2) {
-        tree.node(static_cast<std::size_t>(leaf.node)).leaf_value =
-            leaf.class_counts[1] / total;
-      }
-    }
-    return tree;
-  }
-
- private:
-  // Leaves at or below this row count skip per-leaf histograms and use the
-  // per-feature scratch accumulation in find_best_split instead.
-  static constexpr std::size_t kCompactThreshold = 256;
-
-  double row_weight(std::uint32_t pos) const {
-    return weights_.empty() ? 1.0 : weights_[pos];
-  }
-
-  HistParallel par() const { return HistParallel{pool_, params_.n_threads}; }
-
-  // Remove a child's rows from an inherited parent histogram (in place).
-  void remove_rows_from_hist(const ClassLeaf& child, std::vector<double>& hist) const {
-    if (packed_ != nullptr) {
-      remove_rows_from_class_histogram_packed(
-          *packed_, offsets_, k_, buffer_.data() + child.begin, child.count,
-          labels_, weights_, hist, kernel_, par());
-    } else {
-      remove_rows_from_class_histogram(binned_, offsets_, k_,
-                                       buffer_.data() + child.begin,
-                                       child.count, labels_, weights_, hist,
-                                       par());
-    }
-  }
-
-  std::vector<double> count_classes(const ClassLeaf& leaf) const {
-    std::vector<double> counts(static_cast<std::size_t>(k_), 0.0);
-    for (std::size_t i = leaf.begin; i < leaf.begin + leaf.count; ++i) {
-      counts[static_cast<std::size_t>(labels_[buffer_[i]])] += row_weight(buffer_[i]);
-    }
-    return counts;
-  }
-
-  void build_hist(ClassLeaf& leaf) const {
-    if (packed_ != nullptr) {
-      build_class_histogram_packed(*packed_, offsets_, k_,
-                                   buffer_.data() + leaf.begin, leaf.count,
-                                   labels_, weights_, leaf.hist, kernel_,
-                                   par());
-    } else {
-      build_class_histogram(binned_, offsets_, k_, buffer_.data() + leaf.begin,
-                            leaf.count, labels_, weights_, leaf.hist, par());
-    }
-  }
-
-  std::vector<int> sampled_features() {
-    if (params_.max_features >= 1.0) return all_features_;
-    std::size_t k = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::lround(params_.max_features *
-                                                static_cast<double>(all_features_.size()))));
-    std::vector<int> sampled = all_features_;
-    for (std::size_t i = 0; i < k; ++i) {
-      std::size_t j = i + rng_.uniform_index(sampled.size() - i);
-      std::swap(sampled[i], sampled[j]);
-    }
-    sampled.resize(k);
-    return sampled;
-  }
-
-  // Per-evaluation scratch. The serial path reuses one instance across
-  // features; each parallel shard owns its own so evaluations never share
-  // mutable state.
-  struct SplitScratch {
+  using Leaf = treegrow::Leaf<std::vector<double>, double>;
+  struct Search {
+    std::vector<int> feats;
+    double parent_imp = 0.0;
+    // Extra-trees threshold per candidate feature (-1 = no candidate).
+    std::vector<int> random_bins;
+  };
+  // Per-evaluation scratch; each parallel shard owns one.
+  struct Scratch {
     std::vector<double> left_counts;
     std::vector<double> right_counts;
     std::vector<double> compact_counts;  // gathered [bin*k+class] for small leaves
   };
 
-  // Best split of a single feature. `random_bin` carries the pre-drawn
-  // extra-trees threshold (-1 = feature skipped / not extra-random), so the
-  // evaluation itself is pure and can run on any thread.
-  ClassSplit eval_feature_split(const ClassLeaf& leaf, int f, int random_bin,
-                                double parent_imp, SplitScratch& scratch) const {
-    ClassSplit best;
+  ClassPolicy(GrowState& s, int n_classes, const std::vector<int>& labels,
+              const std::vector<double>& weights, const ClassGrowerParams& params)
+      : s_(s), k_(n_classes), labels_(labels), weights_(weights), params_(params) {
+    all_features_.resize(s.mapper.n_features());
+    for (std::size_t f = 0; f < all_features_.size(); ++f) {
+      all_features_[f] = static_cast<int>(f);
+    }
+  }
+
+  std::vector<double> sum(const Leaf& leaf) const {
+    std::vector<double> counts(static_cast<std::size_t>(k_), 0.0);
+    const std::uint32_t* rows = s_.rows(leaf.begin);
+    for (std::size_t i = 0; i < leaf.count; ++i) {
+      counts[static_cast<std::size_t>(labels_[rows[i]])] +=
+          weights_.empty() ? 1.0 : weights_[rows[i]];
+    }
+    return counts;
+  }
+
+  static std::vector<double> minus(const std::vector<double>& parent,
+                                   const std::vector<double>& child) {
+    std::vector<double> out(parent.size());
+    for (std::size_t c = 0; c < out.size(); ++c) out[c] = parent[c] - child[c];
+    return out;
+  }
+
+  void build_hist(Leaf& leaf) const {
+    if (leaf.count <= kSmallLeafRows) return;
+    build_class_histogram_packed(s_.packed, s_.offsets, k_, s_.rows(leaf.begin),
+                                 leaf.count, labels_, weights_, leaf.hist,
+                                 s_.kernel, s_.par());
+  }
+
+  // Inherit-and-remove: O(small × features) with no allocation.
+  void derive_hist(Leaf& large, std::vector<double>&& parent, const Leaf& small) const {
+    if (large.count <= kSmallLeafRows) return;
+    large.hist = std::move(parent);
+    remove_rows_from_class_histogram_packed(s_.packed, s_.offsets, k_,
+                                            s_.rows(small.begin), small.count,
+                                            labels_, weights_, large.hist,
+                                            s_.kernel, s_.par());
+  }
+
+  bool prepare(const Leaf& leaf, Search& search) {
+    if (leaf.count < 2 * static_cast<std::size_t>(params_.min_samples_leaf)) {
+      return false;
+    }
+    // The impurity total is the WEIGHTED class mass, not the row count.
+    double parent_total = 0.0;
+    for (double c : leaf.stats) parent_total += c;
+    search.parent_imp = weighted_impurity(leaf.stats, parent_total, params_.criterion);
+    if (search.parent_imp <= params_.min_gain) return false;  // pure leaf
+
+    search.feats = s_.sample_features(all_features_, params_.max_features);
+    // Extra-trees thresholds come from the shared rng, so they are drawn
+    // here, serially and in feature order, before any fan-out: the rng
+    // stream is then identical no matter how evaluation is scheduled.
+    if (params_.extra_random) {
+      search.random_bins.assign(search.feats.size(), -1);
+      for (std::size_t i = 0; i < search.feats.size(); ++i) {
+        const FeatureBins& fb =
+            s_.mapper.feature(static_cast<std::size_t>(search.feats[i]));
+        if (fb.type != ColumnType::Categorical && fb.n_value_bins >= 2) {
+          search.random_bins[i] = static_cast<int>(
+              s_.rng.uniform_index(static_cast<std::uint64_t>(fb.n_value_bins - 1)));
+        }
+      }
+    }
+    return true;
+  }
+
+  SplitInfo eval(const Leaf& leaf, const Search& search, std::size_t i,
+                 Scratch& scratch) const {
+    SplitInfo best;
+    const int f = search.feats[i];
     const std::size_t k = static_cast<std::size_t>(k_);
+    const std::vector<double>& parent = leaf.stats;
     scratch.left_counts.assign(k, 0.0);
     scratch.right_counts.assign(k, 0.0);
     std::vector<double>& left_counts = scratch.left_counts;
@@ -249,12 +138,12 @@ class ClassGrowContext {
     auto consider = [&](int bin, bool categorical, bool missing_left,
                         bool missing_only) {
       double nl = 0.0, nr = 0.0;
-      for (int c = 0; c < k_; ++c) {
-        nl += left_counts[static_cast<std::size_t>(c)];
-        nr += right_counts[static_cast<std::size_t>(c)];
+      for (std::size_t c = 0; c < k; ++c) {
+        nl += left_counts[c];
+        nr += right_counts[c];
       }
       if (nl < params_.min_samples_leaf || nr < params_.min_samples_leaf) return;
-      double gain = parent_imp -
+      double gain = search.parent_imp -
                     weighted_impurity(left_counts, nl, params_.criterion) -
                     weighted_impurity(right_counts, nr, params_.criterion);
       if (gain > best.gain && gain > params_.min_gain) {
@@ -262,38 +151,28 @@ class ClassGrowContext {
       }
     };
 
-    const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(f));
+    const FeatureBins& fb = s_.mapper.feature(static_cast<std::size_t>(f));
     const double* hist;
     if (leaf.hist.empty()) {
-      if (packed_ != nullptr) {
-        fill_feature_class_counts_packed(*packed_, f, fb.n_bins(), k_,
-                                         buffer_.data() + leaf.begin,
-                                         leaf.count, labels_, weights_,
-                                         scratch.compact_counts, kernel_);
-      } else {
-        fill_feature_class_counts(binned_.feature(static_cast<std::size_t>(f)),
-                                  fb.n_bins(), k_, buffer_.data() + leaf.begin,
-                                  leaf.count, labels_, weights_,
-                                  scratch.compact_counts);
-      }
+      fill_feature_class_counts_packed(s_.packed, f, fb.n_bins(), k_,
+                                       s_.rows(leaf.begin), leaf.count, labels_,
+                                       weights_, scratch.compact_counts, s_.kernel);
       hist = scratch.compact_counts.data();
     } else {
-      hist = leaf.hist.data() + offsets_[static_cast<std::size_t>(f)] * k;
+      hist = leaf.hist.data() + s_.offsets[static_cast<std::size_t>(f)] * k;
     }
-    auto bin_counts = [&](int b, int c) {
-      return hist[static_cast<std::size_t>(b) * k + static_cast<std::size_t>(c)];
+    auto bin_counts = [&](int b, std::size_t c) {
+      return hist[static_cast<std::size_t>(b) * k + c];
     };
-    const int miss_bin = fb.missing_bin();
 
     if (fb.type == ColumnType::Categorical) {
       for (int b = 0; b < fb.n_value_bins; ++b) {
         double n_b = 0.0;
-        for (int c = 0; c < k_; ++c) n_b += bin_counts(b, c);
+        for (std::size_t c = 0; c < k; ++c) n_b += bin_counts(b, c);
         if (n_b == 0.0) continue;
-        for (int c = 0; c < k_; ++c) {
-          left_counts[static_cast<std::size_t>(c)] = bin_counts(b, c);
-          right_counts[static_cast<std::size_t>(c)] =
-              leaf.class_counts[static_cast<std::size_t>(c)] - bin_counts(b, c);
+        for (std::size_t c = 0; c < k; ++c) {
+          left_counts[c] = bin_counts(b, c);
+          right_counts[c] = parent[c] - bin_counts(b, c);
         }
         consider(b, true, false, false);
       }
@@ -303,17 +182,12 @@ class ClassGrowContext {
     if (params_.extra_random) {
       // One pre-drawn random threshold; < 0 means the feature had fewer than
       // two value bins and contributes no candidate.
+      const int random_bin = search.random_bins[i];
       if (random_bin < 0) return best;
       for (int bb = 0; bb <= random_bin; ++bb) {
-        for (int c = 0; c < k_; ++c) {
-          left_counts[static_cast<std::size_t>(c)] += bin_counts(bb, c);
-        }
+        for (std::size_t c = 0; c < k; ++c) left_counts[c] += bin_counts(bb, c);
       }
-      for (int c = 0; c < k_; ++c) {
-        right_counts[static_cast<std::size_t>(c)] =
-            leaf.class_counts[static_cast<std::size_t>(c)] -
-            left_counts[static_cast<std::size_t>(c)];
-      }
+      for (std::size_t c = 0; c < k; ++c) right_counts[c] = parent[c] - left_counts[c];
       consider(random_bin, false, false, false);
       return best;
     }
@@ -321,166 +195,56 @@ class ClassGrowContext {
     // Full scan; missing goes right (missing-left variant adds little for
     // forests and doubles the scan cost).
     for (int b = 0; b + 1 < fb.n_value_bins; ++b) {
-      for (int c = 0; c < k_; ++c) {
-        left_counts[static_cast<std::size_t>(c)] += bin_counts(b, c);
-      }
-      for (int c = 0; c < k_; ++c) {
-        right_counts[static_cast<std::size_t>(c)] =
-            leaf.class_counts[static_cast<std::size_t>(c)] -
-            left_counts[static_cast<std::size_t>(c)];
-      }
+      for (std::size_t c = 0; c < k; ++c) left_counts[c] += bin_counts(b, c);
+      for (std::size_t c = 0; c < k; ++c) right_counts[c] = parent[c] - left_counts[c];
       consider(b, false, false, false);
     }
     // Missing-vs-known split when missing has mass.
+    const int miss_bin = fb.missing_bin();
     double n_miss = 0.0;
-    for (int c = 0; c < k_; ++c) n_miss += bin_counts(miss_bin, c);
+    for (std::size_t c = 0; c < k; ++c) n_miss += bin_counts(miss_bin, c);
     if (n_miss > 0.0) {
-      for (int c = 0; c < k_; ++c) {
-        right_counts[static_cast<std::size_t>(c)] = bin_counts(miss_bin, c);
-        left_counts[static_cast<std::size_t>(c)] =
-            leaf.class_counts[static_cast<std::size_t>(c)] -
-            right_counts[static_cast<std::size_t>(c)];
+      for (std::size_t c = 0; c < k; ++c) {
+        right_counts[c] = bin_counts(miss_bin, c);
+        left_counts[c] = parent[c] - right_counts[c];
       }
       consider(-1, false, false, true);
     }
     return best;
   }
 
-  ClassSplit find_best_split(ClassLeaf& leaf) {
-    ClassSplit best;
-    if (leaf.count < 2 * static_cast<std::size_t>(params_.min_samples_leaf)) return best;
-    // The impurity total is the WEIGHTED class mass, not the row count.
-    double parent_total = 0.0;
-    for (double c : leaf.class_counts) parent_total += c;
-    const double parent_imp =
-        weighted_impurity(leaf.class_counts, parent_total, params_.criterion);
-    if (parent_imp <= params_.min_gain) return best;  // pure leaf
-
-    const std::vector<int> feats = sampled_features();
-    // Extra-trees thresholds come from the shared rng, so they are drawn
-    // here, serially and in feature order, before any fan-out: the rng
-    // stream is then identical no matter how evaluation is scheduled.
-    std::vector<int> random_bins;
-    if (params_.extra_random) {
-      random_bins.assign(feats.size(), -1);
-      for (std::size_t i = 0; i < feats.size(); ++i) {
-        const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(feats[i]));
-        if (fb.type != ColumnType::Categorical && fb.n_value_bins >= 2) {
-          random_bins[i] = static_cast<int>(rng_.uniform_index(
-              static_cast<std::uint64_t>(fb.n_value_bins - 1)));
-        }
+  void fill_leaves(Tree& tree, const std::vector<Leaf>& leaves) const {
+    auto& dists = tree.leaf_distributions();
+    dists.assign(tree.n_nodes(), {});
+    for (const Leaf& leaf : leaves) {
+      std::vector<double> dist(leaf.stats);
+      double total = 0.0;
+      for (double c : leaf.stats) total += c;
+      if (total <= 0.0) total = 1.0;
+      for (double& d : dist) d /= total;
+      dists[static_cast<std::size_t>(leaf.node)] = std::move(dist);
+      // Binary trees also store P(class 1) as the scalar leaf value.
+      if (k_ == 2) {
+        tree.node(static_cast<std::size_t>(leaf.node)).leaf_value = leaf.stats[1] / total;
       }
-    }
-    auto random_bin_at = [&](std::size_t i) {
-      return random_bins.empty() ? -1 : random_bins[i];
-    };
-
-    // Parallel only for leaves with a retained histogram: compact-scan
-    // leaves are by definition small, and the gather would dominate.
-    if (pool_ != nullptr && !leaf.hist.empty() && feats.size() >= 2) {
-      std::vector<ClassSplit> per_feature(feats.size());
-      sharded_for(pool_, params_.n_threads, feats.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    SplitScratch scratch;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      per_feature[i] = eval_feature_split(
-                          leaf, feats[i], random_bin_at(i), parent_imp, scratch);
-                    }
-                  });
-      // Fixed-order reduction with strict `>`: keeps the lowest-feature-index
-      // winner on ties, exactly like the serial accumulating scan.
-      for (const ClassSplit& cand : per_feature) {
-        if (cand.valid() && cand.gain > best.gain) best = cand;
-      }
-    } else {
-      for (std::size_t i = 0; i < feats.size(); ++i) {
-        ClassSplit cand = eval_feature_split(leaf, feats[i], random_bin_at(i),
-                                             parent_imp, split_scratch_);
-        if (cand.valid() && cand.gain > best.gain) best = cand;
-      }
-    }
-    return best;
-  }
-
-  std::size_t partition(const ClassLeaf& leaf, const ClassSplit& split) {
-    const auto& col = binned_.feature(static_cast<std::size_t>(split.feature));
-    const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(split.feature));
-    const int missing_bin = fb.missing_bin();
-    auto goes_left = [&](std::uint32_t pos) {
-      int b = col[pos];
-      if (split.missing_only) return b != missing_bin;
-      if (b == missing_bin) return split.missing_left;
-      if (split.categorical) return b == split.bin;
-      return b <= split.bin;
-    };
-    scratch_.clear();
-    std::size_t write = leaf.begin;
-    for (std::size_t i = leaf.begin; i < leaf.begin + leaf.count; ++i) {
-      if (goes_left(buffer_[i])) {
-        buffer_[write++] = buffer_[i];
-      } else {
-        scratch_.push_back(buffer_[i]);
-      }
-    }
-    std::copy(scratch_.begin(), scratch_.end(),
-              buffer_.begin() + static_cast<std::ptrdiff_t>(write));
-    return write - leaf.begin;
-  }
-
-  void apply_split(Tree& tree, std::int32_t node, const ClassSplit& split) const {
-    TreeNode& n = tree.node(static_cast<std::size_t>(node));
-    n.feature = split.feature;
-    n.split_gain = std::max(split.gain, 0.0);
-    const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(split.feature));
-    if (split.missing_only) {
-      n.categorical = false;
-      n.threshold = std::numeric_limits<float>::infinity();
-      n.missing_left = false;
-    } else if (split.categorical) {
-      n.categorical = true;
-      n.category = split.bin;
-      n.missing_left = false;
-    } else {
-      n.categorical = false;
-      n.threshold = fb.threshold_for(split.bin);
-      n.missing_left = split.missing_left;
     }
   }
 
-  const BinMapper& mapper_;
-  const BinnedMatrix& binned_;
-  const PackedBins* packed_;  // null = legacy scalar column build
-  HistKernel kernel_;
+ private:
+  GrowState& s_;
   int k_;
   const std::vector<int>& labels_;
   const std::vector<double>& weights_;
   const ClassGrowerParams& params_;
-  Rng& rng_;
-  ThreadPool* pool_;  // null = serial growth
-  std::vector<std::uint32_t> buffer_;
-  std::vector<std::uint32_t> scratch_;
-  std::vector<std::size_t> offsets_;
   std::vector<int> all_features_;
-  SplitScratch split_scratch_;  // serial-path evaluation scratch
 };
 
 }  // namespace
 
 ClassTreeGrower::ClassTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
                                  int n_classes, const PackedBins* packed)
-    : mapper_(&mapper), binned_(&binned), n_classes_(n_classes), packed_(packed) {
+    : mapper_(&mapper), binned_(&binned), n_classes_(n_classes), packed_(binned, packed) {
   FLAML_REQUIRE(n_classes >= 2, "classification tree needs >= 2 classes");
-  FLAML_REQUIRE(packed == nullptr || (packed->n_rows() == binned.n_rows() &&
-                                      packed->n_features() == binned.n_features()),
-                "packed bins must describe the same matrix as `binned`");
-}
-
-const PackedBins* ClassTreeGrower::packed_or_build() const {
-  if (packed_ != nullptr) return packed_;
-  std::call_once(pack_once_, [this] {
-    owned_packed_ = std::make_unique<PackedBins>(PackedBins::pack(*binned_));
-  });
-  return owned_packed_.get();
 }
 
 Tree ClassTreeGrower::grow(const std::vector<std::uint32_t>& rows,
@@ -499,14 +263,10 @@ Tree ClassTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                 "labels must cover all binned rows");
   FLAML_REQUIRE(weights.empty() || weights.size() == binned_->n_rows(),
                 "weights must cover all binned rows");
-  // Resolved once per tree; packed kernels are bit-identical to Scalar, so
-  // the choice never changes the grown tree.
-  const HistKernel kernel = active_hist_kernel();
-  const PackedBins* packed =
-      kernel == HistKernel::Scalar ? nullptr : packed_or_build();
-  ClassGrowContext ctx(*mapper_, *binned_, packed, kernel, n_classes_, rows,
-                       labels, weights, params, rng);
-  return ctx.run();
+  GrowState state(*mapper_, *binned_, packed_.get(), rows, params.n_threads, rng);
+  ClassPolicy policy(state, n_classes_, labels, weights, params);
+  return treegrow::grow_leaf_wise(
+      state, policy, {params.max_leaves, params.max_depth, params.min_gain});
 }
 
 }  // namespace flaml

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,9 +38,7 @@ struct ClassGrowerParams {
 class ClassTreeGrower {
  public:
   // `packed` optionally shares a pre-built row-major layout of the SAME
-  // matrix; when null and the active histogram kernel is not Scalar, the
-  // grower packs `binned` itself once on first use (thread-safe — forests
-  // grow trees concurrently from one grower).
+  // matrix; when null the grower packs `binned` itself once on first use.
   ClassTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
                   int n_classes, const PackedBins* packed = nullptr);
 
@@ -58,14 +54,10 @@ class ClassTreeGrower {
             Rng& rng) const;
 
  private:
-  const PackedBins* packed_or_build() const;
-
   const BinMapper* mapper_;
   const BinnedMatrix* binned_;
   int n_classes_;
-  const PackedBins* packed_;
-  mutable std::once_flag pack_once_;
-  mutable std::unique_ptr<PackedBins> owned_packed_;
+  LazyPackedBins packed_;
 };
 
 }  // namespace flaml

@@ -1,21 +1,17 @@
 #include "tree/grower.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "tree/histogram.h"
+#include "tree/leafwise.h"
 
 namespace flaml {
 
 namespace {
 
-// Split searches on leaves below this row count run serially: their scan
-// cost is dwarfed by the parallel_for handoff. Depends only on the leaf, so
-// serial and parallel runs agree on the path taken.
-constexpr std::size_t kMinRowsForParallelFind = 256;
+using treegrow::GrowState;
+using treegrow::SplitInfo;
 
 double thresholded(double g, double alpha) {
   if (g > alpha) return g - alpha;
@@ -32,91 +28,81 @@ double leaf_weight(double g, double h, const GrowerParams& p) {
   return -thresholded(g, p.reg_alpha) / (h + p.reg_lambda);
 }
 
-struct SplitInfo {
-  double gain = -1.0;
-  int feature = -1;
-  int bin = -1;           // numeric: split "bin <= bin"; categorical: the code
-  bool categorical = false;
-  bool missing_left = false;
-  bool missing_only = false;  // split non-missing (left) vs missing (right)
-  bool valid() const { return feature >= 0; }
-};
-
-struct LeafState {
-  std::int32_t node = 0;
-  std::size_t begin = 0;   // segment [begin, begin+count) in the row buffer
-  std::size_t count = 0;
+struct GradStats {
   double g = 0.0;
   double h = 0.0;
-  int depth = 1;
-  std::vector<HistEntry> hist;  // flat, indexed by feature offset + bin
-  SplitInfo best;
 };
 
-class GrowContext {
+// Split statistics of gradient boosting: (g, h, n) sums per bin, the
+// second-order gain, histogram subtraction for the larger child.
+class GradientPolicy {
  public:
-  GrowContext(const BinMapper& mapper, const BinnedMatrix& binned,
-              const PackedBins* packed, HistKernel kernel,
-              const std::vector<std::uint32_t>& rows, const std::vector<double>& grad,
-              const std::vector<double>& hess, const std::vector<int>& features,
-              const GrowerParams& params, Rng& rng)
-      : mapper_(mapper),
-        binned_(binned),
-        packed_(packed),
-        kernel_(kernel),
-        // hess ≡ 1.0 turns on the kernels' derived-count fast path (MSE
-        // boosting and unweighted ensembles). One O(n_rows) scan per tree.
-        unit_hess_(packed != nullptr &&
-                   std::all_of(hess.begin(), hess.end(),
-                               [](double v) { return v == 1.0; })),
+  using Leaf = treegrow::Leaf<GradStats, HistEntry>;
+  struct Search {
+    std::vector<int> feats;
+    double parent_score = 0.0;
+  };
+  struct Scratch {};
+
+  GradientPolicy(GrowState& s, const std::vector<double>& grad,
+                 const std::vector<double>& hess, const std::vector<int>& features,
+                 const GrowerParams& params)
+      : s_(s),
         grad_(grad),
         hess_(hess),
         features_(features),
         params_(params),
-        rng_(rng),
-        pool_(params.n_threads > 1 ? &shared_pool() : nullptr),
-        buffer_(rows),
-        offsets_(histogram_offsets(mapper)) {}
+        // hess ≡ 1.0 turns on the kernels' derived-count fast path (MSE
+        // boosting and unweighted ensembles). One O(n_rows) scan per tree.
+        unit_hess_(std::all_of(hess.begin(), hess.end(),
+                               [](double v) { return v == 1.0; })) {}
 
-  std::size_t hist_size() const { return offsets_.back(); }
+  const GrowerParams& params() const { return params_; }
+  std::size_t hist_size() const { return s_.offsets.back(); }
 
-  HistParallel par() const { return {pool_, params_.n_threads}; }
-
-  void build_hist(const LeafState& leaf, std::vector<HistEntry>& hist) const {
-    if (packed_ != nullptr) {
-      build_gradient_histogram_packed(*packed_, offsets_, features_,
-                                      buffer_.data() + leaf.begin, leaf.count,
-                                      grad_, hess_, unit_hess_, hist, kernel_,
-                                      par());
-    } else {
-      build_gradient_histogram(binned_, offsets_, features_,
-                               buffer_.data() + leaf.begin, leaf.count, grad_,
-                               hess_, hist, par());
+  GradStats sum(const Leaf& leaf) const {
+    GradStats t;
+    const std::uint32_t* rows = s_.rows(leaf.begin);
+    for (std::size_t i = 0; i < leaf.count; ++i) {
+      t.g += grad_[rows[i]];
+      t.h += hess_[rows[i]];
     }
+    return t;
   }
 
-  // Candidate features for one split search (colsample_bylevel).
+  static GradStats minus(const GradStats& parent, const GradStats& child) {
+    return {parent.g - child.g, parent.h - child.h};
+  }
+
+  void build_hist(Leaf& leaf) const {
+    build_gradient_histogram_packed(s_.packed, s_.offsets, features_,
+                                    s_.rows(leaf.begin), leaf.count, grad_, hess_,
+                                    unit_hess_, leaf.hist, s_.kernel, s_.par());
+  }
+
+  void derive_hist(Leaf& large, std::vector<HistEntry>&& parent, const Leaf& small) const {
+    large.hist = std::move(parent);
+    subtract_gradient_histogram_inplace(large.hist, small.hist);
+  }
+
   std::vector<int> level_features() {
-    if (params_.colsample_bylevel >= 1.0) return features_;
-    std::size_t k = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::lround(params_.colsample_bylevel *
-                                                static_cast<double>(features_.size()))));
-    std::vector<int> sampled = features_;
-    // Partial Fisher–Yates for the first k elements.
-    for (std::size_t i = 0; i < k; ++i) {
-      std::size_t j = i + rng_.uniform_index(sampled.size() - i);
-      std::swap(sampled[i], sampled[j]);
-    }
-    sampled.resize(k);
-    return sampled;
+    return s_.sample_features(features_, params_.colsample_bylevel);
   }
 
-  // Evaluate the best split of one feature given the leaf histogram.
-  void best_feature_split(const LeafState& leaf, int f, SplitInfo& best) const {
-    const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(f));
-    const HistEntry* hist = leaf.hist.data() + offsets_[static_cast<std::size_t>(f)];
-    const double parent_score = leaf_score(leaf.g, leaf.h, params_);
+  bool prepare(const Leaf& leaf, Search& search) {
+    search.feats = level_features();
+    search.parent_score = leaf_score(leaf.stats.g, leaf.stats.h, params_);
+    return true;
+  }
+
+  SplitInfo eval(const Leaf& leaf, const Search& search, std::size_t i, Scratch&) const {
+    SplitInfo best;
+    const int f = search.feats[i];
+    const FeatureBins& fb = s_.mapper.feature(static_cast<std::size_t>(f));
+    const HistEntry* hist = leaf.hist.data() + s_.offsets[static_cast<std::size_t>(f)];
     const HistEntry& miss = hist[fb.missing_bin()];
+    const double g = leaf.stats.g, h = leaf.stats.h;
+    const auto count = static_cast<std::uint32_t>(leaf.count);
 
     auto consider = [&](double gl, double hl, std::uint32_t nl, double gr, double hr,
                         std::uint32_t nr, int bin, bool categorical, bool missing_left,
@@ -126,8 +112,8 @@ class GrowContext {
         return;
       }
       if (hl < params_.min_child_weight || hr < params_.min_child_weight) return;
-      double gain =
-          leaf_score(gl, hl, params_) + leaf_score(gr, hr, params_) - parent_score;
+      double gain = leaf_score(gl, hl, params_) + leaf_score(gr, hr, params_) -
+                    search.parent_score;
       if (gain > best.gain) {
         best = {gain, f, bin, categorical, missing_left, missing_only};
       }
@@ -138,19 +124,18 @@ class GrowContext {
       for (int c = 0; c < fb.n_value_bins; ++c) {
         const HistEntry& e = hist[c];
         if (e.n == 0) continue;
-        consider(e.g, e.h, e.n, leaf.g - e.g, leaf.h - e.h,
-                 static_cast<std::uint32_t>(leaf.count) - e.n, c,
+        consider(e.g, e.h, e.n, g - e.g, h - e.h, count - e.n, c,
                  /*categorical=*/true, /*missing_left=*/false, false);
       }
-      return;
+      return best;
     }
 
     // Numeric: scan thresholds, try missing on each side.
     double gl = 0.0, hl = 0.0;
     std::uint32_t nl = 0;
-    const double g_known = leaf.g - miss.g;
-    const double h_known = leaf.h - miss.h;
-    const std::uint32_t n_known = static_cast<std::uint32_t>(leaf.count) - miss.n;
+    const double g_known = g - miss.g;
+    const double h_known = h - miss.h;
+    const std::uint32_t n_known = count - miss.n;
     for (int b = 0; b + 1 < fb.n_value_bins; ++b) {
       gl += hist[b].g;
       hl += hist[b].h;
@@ -158,8 +143,7 @@ class GrowContext {
       if (nl == 0) continue;
       if (nl == n_known && miss.n == 0) break;
       // Missing right.
-      consider(gl, hl, nl, leaf.g - gl, leaf.h - hl,
-               static_cast<std::uint32_t>(leaf.count) - nl, b, false, false, false);
+      consider(gl, hl, nl, g - gl, h - hl, count - nl, b, false, false, false);
       if (miss.n > 0) {
         // Missing left.
         consider(gl + miss.g, hl + miss.h, nl + miss.n, g_known - gl, h_known - hl,
@@ -171,357 +155,159 @@ class GrowContext {
       consider(g_known, h_known, n_known, miss.g, miss.h, miss.n, -1, false, false,
                true);
     }
-  }
-
-  SplitInfo find_best_split(const LeafState& leaf, const std::vector<int>& feats) const {
-    SplitInfo best;
-    if (pool_ != nullptr && feats.size() >= 2 && leaf.count >= kMinRowsForParallelFind) {
-      // Feature-block parallel: evaluate every feature independently, then
-      // reduce in feature order. Strict `>` in both the per-feature scan and
-      // the reduction keeps the first (lowest feature index, lowest bin)
-      // candidate on ties — exactly what the serial accumulating scan keeps
-      // — so the result is independent of thread count.
-      std::vector<SplitInfo> per_feature(feats.size());
-      sharded_for(pool_, params_.n_threads, feats.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      best_feature_split(leaf, feats[i], per_feature[i]);
-                    }
-                  });
-      for (const SplitInfo& cand : per_feature) {
-        if (cand.gain > best.gain) best = cand;
-      }
-    } else {
-      for (int f : feats) best_feature_split(leaf, f, best);
-    }
-    if (best.gain < params_.min_gain) best = SplitInfo{};
     return best;
   }
 
-  // Partition the leaf's buffer segment by the split; returns count on left.
-  std::size_t partition(const LeafState& leaf, const SplitInfo& split) {
-    const auto& col = binned_.feature(static_cast<std::size_t>(split.feature));
-    const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(split.feature));
-    const int missing_bin = fb.missing_bin();
-    auto goes_left = [&](std::uint32_t pos) {
-      int b = col[pos];
-      if (split.missing_only) return b != missing_bin;
-      if (b == missing_bin) return split.missing_left;
-      if (split.categorical) return b == split.bin;
-      return b <= split.bin;
-    };
-    scratch_.clear();
-    std::size_t write = leaf.begin;
-    for (std::size_t i = leaf.begin; i < leaf.begin + leaf.count; ++i) {
-      if (goes_left(buffer_[i])) {
-        buffer_[write++] = buffer_[i];
-      } else {
-        scratch_.push_back(buffer_[i]);
-      }
-    }
-    std::copy(scratch_.begin(), scratch_.end(), buffer_.begin() + static_cast<std::ptrdiff_t>(write));
-    return write - leaf.begin;
+  double leaf_value(const Leaf& leaf) const {
+    return leaf_weight(leaf.stats.g, leaf.stats.h, params_);
   }
 
-  double sum_g(const LeafState& leaf) const {
-    double s = 0.0;
-    for (std::size_t i = leaf.begin; i < leaf.begin + leaf.count; ++i) {
-      s += grad_[buffer_[i]];
+  void fill_leaves(Tree& tree, const std::vector<Leaf>& leaves) const {
+    for (const Leaf& leaf : leaves) {
+      tree.node(static_cast<std::size_t>(leaf.node)).leaf_value = leaf_value(leaf);
     }
-    return s;
-  }
-  double sum_h(const LeafState& leaf) const {
-    double s = 0.0;
-    for (std::size_t i = leaf.begin; i < leaf.begin + leaf.count; ++i) {
-      s += hess_[buffer_[i]];
-    }
-    return s;
-  }
-
-  // Fill the Tree node for a chosen split.
-  void apply_split_to_node(Tree& tree, std::int32_t node, const SplitInfo& split) const {
-    TreeNode& n = tree.node(static_cast<std::size_t>(node));
-    n.feature = split.feature;
-    n.split_gain = std::max(split.gain, 0.0);
-    const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(split.feature));
-    if (split.missing_only) {
-      n.categorical = false;
-      n.threshold = std::numeric_limits<float>::infinity();
-      n.missing_left = false;
-    } else if (split.categorical) {
-      n.categorical = true;
-      n.category = split.bin;
-      n.missing_left = false;
-    } else {
-      n.categorical = false;
-      n.threshold = fb.threshold_for(split.bin);
-      n.missing_left = split.missing_left;
-    }
-  }
-
-  Tree grow_leaf_wise() {
-    Tree tree;
-    std::vector<LeafState> leaves;
-    LeafState root;
-    root.node = 0;
-    root.begin = 0;
-    root.count = buffer_.size();
-    root.g = sum_g(root);
-    root.h = sum_h(root);
-    build_hist(root, root.hist);
-    root.best = find_best_split(root, level_features());
-    leaves.push_back(std::move(root));
-
-    int n_leaves = 1;
-    while (n_leaves < params_.max_leaves) {
-      // Best-first: pick the splittable leaf with highest gain.
-      int pick = -1;
-      for (std::size_t i = 0; i < leaves.size(); ++i) {
-        if (!leaves[i].best.valid()) continue;
-        if (params_.max_depth > 0 && leaves[i].depth >= params_.max_depth) continue;
-        if (pick < 0 || leaves[i].best.gain > leaves[static_cast<std::size_t>(pick)].best.gain) {
-          pick = static_cast<int>(i);
-        }
-      }
-      if (pick < 0) break;
-
-      LeafState leaf = std::move(leaves[static_cast<std::size_t>(pick)]);
-      leaves.erase(leaves.begin() + pick);
-      std::size_t left_count = partition(leaf, leaf.best);
-      FLAML_CHECK(left_count > 0 && left_count < leaf.count);
-
-      apply_split_to_node(tree, leaf.node, leaf.best);
-      auto [left_id, right_id] = tree.split_leaf(leaf.node);
-
-      LeafState left, right;
-      left.node = left_id;
-      left.begin = leaf.begin;
-      left.count = left_count;
-      left.depth = leaf.depth + 1;
-      right.node = right_id;
-      right.begin = leaf.begin + left_count;
-      right.count = leaf.count - left_count;
-      right.depth = leaf.depth + 1;
-      left.g = sum_g(left);
-      left.h = sum_h(left);
-      right.g = leaf.g - left.g;
-      right.h = leaf.h - left.h;
-
-      // Histogram subtraction: build the smaller child, derive the larger by
-      // moving the parent's buffer and subtracting in place. When the parent
-      // had no retained histogram (small leaf), build both children directly.
-      if (leaf.hist.empty()) {
-        build_hist(left, left.hist);
-        build_hist(right, right.hist);
-      } else if (left.count <= right.count) {
-        build_hist(left, left.hist);
-        right.hist = std::move(leaf.hist);
-        subtract_gradient_histogram_inplace(right.hist, left.hist);
-      } else {
-        build_hist(right, right.hist);
-        left.hist = std::move(leaf.hist);
-        subtract_gradient_histogram_inplace(left.hist, right.hist);
-      }
-
-      left.best = find_best_split(left, level_features());
-      right.best = find_best_split(right, level_features());
-      // Bound retained histogram memory: a leaf that cannot split again, or
-      // whose row count makes a rebuild trivial, does not keep its buffer
-      // (huge-leaf-count configurations would otherwise hold hundreds of MB).
-      auto maybe_drop_hist = [](LeafState& l) {
-        if (!l.best.valid() || l.count <= 256) {
-          l.hist.clear();
-          l.hist.shrink_to_fit();
-        }
-      };
-      maybe_drop_hist(left);
-      maybe_drop_hist(right);
-      leaves.push_back(std::move(left));
-      leaves.push_back(std::move(right));
-      ++n_leaves;
-    }
-
-    for (const auto& leaf : leaves) {
-      tree.node(static_cast<std::size_t>(leaf.node)).leaf_value =
-          leaf_weight(leaf.g, leaf.h, params_);
-    }
-    return tree;
-  }
-
-  Tree grow_oblivious() {
-    Tree tree;
-    std::vector<LeafState> level;
-    LeafState root;
-    root.node = 0;
-    root.begin = 0;
-    root.count = buffer_.size();
-    root.g = sum_g(root);
-    root.h = sum_h(root);
-    build_hist(root, root.hist);
-    level.push_back(std::move(root));
-
-    for (int d = 0; d < params_.oblivious_depth; ++d) {
-      // One shared split for the whole level: maximize the summed gain.
-      std::vector<int> feats = level_features();
-      // Each feature's best level-summed candidate, evaluated independently
-      // (bin ascending, strict `>`), then reduced in feature order below —
-      // the parallel run picks the same earliest maximum as the serial scan.
-      struct SharedCand {
-        double total = 0.0;
-        int bin = -1;
-        bool categorical = false;
-      };
-      std::vector<SharedCand> cands(feats.size());
-      auto eval_feature = [&](std::size_t fi) {
-        const int f = feats[fi];
-        SharedCand& cand = cands[fi];
-        cand.total = params_.min_gain;
-        // Evaluate every bin candidate's total (level-summed) gain.
-        // Per-leaf prefix sums over bins make this O(leaves × bins) per
-        // feature instead of O(leaves × bins²).
-        const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(f));
-        const bool categorical = fb.type == ColumnType::Categorical;
-        const int n_candidates =
-            categorical ? fb.n_value_bins : fb.n_value_bins - 1;
-        if (n_candidates <= 0) return;
-        std::vector<double> total_gain(static_cast<std::size_t>(n_candidates), 0.0);
-        for (const auto& leaf : level) {
-          if (leaf.count == 0) continue;
-          const HistEntry* hist =
-              leaf.hist.data() + offsets_[static_cast<std::size_t>(f)];
-          const double parent_score = leaf_score(leaf.g, leaf.h, params_);
-          double gl = 0.0, hl = 0.0;
-          std::uint32_t nl = 0;
-          for (int b = 0; b < n_candidates; ++b) {
-            if (categorical) {
-              gl = hist[b].g;
-              hl = hist[b].h;
-              nl = hist[b].n;
-            } else {
-              gl += hist[b].g;
-              hl += hist[b].h;
-              nl += hist[b].n;
-            }
-            double gr = leaf.g - gl, hr = leaf.h - hl;
-            std::uint32_t nr = static_cast<std::uint32_t>(leaf.count) - nl;
-            if (nl == 0 || nr == 0) continue;
-            if (hl < params_.min_child_weight || hr < params_.min_child_weight) {
-              continue;
-            }
-            double gain = leaf_score(gl, hl, params_) +
-                          leaf_score(gr, hr, params_) - parent_score;
-            if (gain > 0.0) total_gain[static_cast<std::size_t>(b)] += gain;
-          }
-        }
-        for (int b = 0; b < n_candidates; ++b) {
-          if (total_gain[static_cast<std::size_t>(b)] > cand.total) {
-            cand.total = total_gain[static_cast<std::size_t>(b)];
-            cand.bin = b;
-            cand.categorical = categorical;
-          }
-        }
-      };
-      ThreadPool* pool = feats.size() >= 2 ? pool_ : nullptr;
-      sharded_for(pool, params_.n_threads, feats.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t fi = begin; fi < end; ++fi) eval_feature(fi);
-                  });
-      SplitInfo best_shared;
-      double best_total = params_.min_gain;
-      for (std::size_t fi = 0; fi < feats.size(); ++fi) {
-        if (cands[fi].bin >= 0 && cands[fi].total > best_total) {
-          best_total = cands[fi].total;
-          best_shared.feature = feats[fi];
-          best_shared.bin = cands[fi].bin;
-          best_shared.categorical = cands[fi].categorical;
-        }
-      }
-      if (!best_shared.valid()) break;
-
-      // Apply the shared split to every non-empty leaf of the level.
-      std::vector<LeafState> next;
-      next.reserve(level.size() * 2);
-      for (auto& leaf : level) {
-        apply_split_to_node(tree, leaf.node, best_shared);
-        auto [left_id, right_id] = tree.split_leaf(leaf.node);
-        std::size_t left_count = leaf.count == 0 ? 0 : partition(leaf, best_shared);
-
-        LeafState left, right;
-        left.node = left_id;
-        left.begin = leaf.begin;
-        left.count = left_count;
-        right.node = right_id;
-        right.begin = leaf.begin + left_count;
-        right.count = leaf.count - left_count;
-        left.g = sum_g(left);
-        left.h = sum_h(left);
-        right.g = leaf.g - left.g;
-        right.h = leaf.h - left.h;
-        if (d + 1 < params_.oblivious_depth) {
-          if (left.count <= right.count) {
-            if (left.count > 0) build_hist(left, left.hist);
-            else left.hist.assign(hist_size(), HistEntry{});
-            subtract_gradient_histogram(leaf.hist, left.hist, right.hist);
-          } else {
-            if (right.count > 0) build_hist(right, right.hist);
-            else right.hist.assign(hist_size(), HistEntry{});
-            subtract_gradient_histogram(leaf.hist, right.hist, left.hist);
-          }
-        }
-        next.push_back(std::move(left));
-        next.push_back(std::move(right));
-      }
-      level = std::move(next);
-    }
-
-    for (const auto& leaf : level) {
-      tree.node(static_cast<std::size_t>(leaf.node)).leaf_value =
-          leaf.count == 0 ? 0.0 : leaf_weight(leaf.g, leaf.h, params_);
-    }
-    return tree;
   }
 
  private:
-  const BinMapper& mapper_;
-  const BinnedMatrix& binned_;
-  const PackedBins* packed_;  // null = legacy scalar column build
-  HistKernel kernel_;
-  bool unit_hess_;
+  GrowState& s_;
   const std::vector<double>& grad_;
   const std::vector<double>& hess_;
   const std::vector<int>& features_;
   const GrowerParams& params_;
-  Rng& rng_;
-  ThreadPool* pool_;  // null = serial growth
-  std::vector<std::uint32_t> buffer_;
-  std::vector<std::uint32_t> scratch_;
-  std::vector<std::size_t> offsets_;
-
- public:
-  Tree run() {
-    FLAML_CHECK(!buffer_.empty());
-    return params_.style == TreeStyle::LeafWise ? grow_leaf_wise() : grow_oblivious();
-  }
+  bool unit_hess_;
 };
+
+// CatBoost-style growth: one shared split per level, chosen to maximize the
+// level-summed gain, applied to every leaf of the level.
+Tree grow_oblivious(GrowState& s, GradientPolicy& p) {
+  using Leaf = GradientPolicy::Leaf;
+  const GrowerParams& params = p.params();
+  Tree tree;
+  std::vector<Leaf> level;
+  Leaf root;
+  root.count = s.n_rows();
+  root.stats = p.sum(root);
+  p.build_hist(root);
+  level.push_back(std::move(root));
+
+  for (int d = 0; d < params.oblivious_depth; ++d) {
+    std::vector<int> feats = p.level_features();
+    // Each feature's best level-summed candidate, evaluated independently
+    // (bin ascending, strict `>`), then reduced in feature order below —
+    // the parallel run picks the same earliest maximum as the serial scan.
+    struct SharedCand {
+      double total = 0.0;
+      int bin = -1;
+      bool categorical = false;
+    };
+    std::vector<SharedCand> cands(feats.size());
+    auto eval_feature = [&](std::size_t fi) {
+      const int f = feats[fi];
+      SharedCand& cand = cands[fi];
+      cand.total = params.min_gain;
+      // Evaluate every bin candidate's total (level-summed) gain. Per-leaf
+      // prefix sums over bins make this O(leaves × bins) per feature
+      // instead of O(leaves × bins²).
+      const FeatureBins& fb = s.mapper.feature(static_cast<std::size_t>(f));
+      const bool categorical = fb.type == ColumnType::Categorical;
+      const int n_candidates = categorical ? fb.n_value_bins : fb.n_value_bins - 1;
+      if (n_candidates <= 0) return;
+      std::vector<double> total_gain(static_cast<std::size_t>(n_candidates), 0.0);
+      for (const auto& leaf : level) {
+        if (leaf.count == 0) continue;
+        const HistEntry* hist = leaf.hist.data() + s.offsets[static_cast<std::size_t>(f)];
+        const double parent_score = leaf_score(leaf.stats.g, leaf.stats.h, params);
+        double gl = 0.0, hl = 0.0;
+        std::uint32_t nl = 0;
+        for (int b = 0; b < n_candidates; ++b) {
+          if (categorical) {
+            gl = hist[b].g;
+            hl = hist[b].h;
+            nl = hist[b].n;
+          } else {
+            gl += hist[b].g;
+            hl += hist[b].h;
+            nl += hist[b].n;
+          }
+          double gr = leaf.stats.g - gl, hr = leaf.stats.h - hl;
+          std::uint32_t nr = static_cast<std::uint32_t>(leaf.count) - nl;
+          if (nl == 0 || nr == 0) continue;
+          if (hl < params.min_child_weight || hr < params.min_child_weight) continue;
+          double gain =
+              leaf_score(gl, hl, params) + leaf_score(gr, hr, params) - parent_score;
+          if (gain > 0.0) total_gain[static_cast<std::size_t>(b)] += gain;
+        }
+      }
+      for (int b = 0; b < n_candidates; ++b) {
+        if (total_gain[static_cast<std::size_t>(b)] > cand.total) {
+          cand.total = total_gain[static_cast<std::size_t>(b)];
+          cand.bin = b;
+          cand.categorical = categorical;
+        }
+      }
+    };
+    ThreadPool* pool = feats.size() >= 2 ? s.pool : nullptr;
+    sharded_for(pool, s.n_threads, feats.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t fi = begin; fi < end; ++fi) eval_feature(fi);
+    });
+    SplitInfo best_shared;
+    double best_total = params.min_gain;
+    for (std::size_t fi = 0; fi < feats.size(); ++fi) {
+      if (cands[fi].bin >= 0 && cands[fi].total > best_total) {
+        best_total = cands[fi].total;
+        best_shared.feature = feats[fi];
+        best_shared.bin = cands[fi].bin;
+        best_shared.categorical = cands[fi].categorical;
+      }
+    }
+    if (!best_shared.valid()) break;
+
+    // Apply the shared split to every leaf of the level.
+    std::vector<Leaf> next;
+    next.reserve(level.size() * 2);
+    for (auto& leaf : level) {
+      s.fill_node(tree, leaf.node, best_shared);
+      auto [left_id, right_id] = tree.split_leaf(leaf.node);
+      const std::size_t left_count = s.partition(leaf.begin, leaf.count, best_shared);
+
+      Leaf left, right;
+      left.node = left_id;
+      left.begin = leaf.begin;
+      left.count = left_count;
+      right.node = right_id;
+      right.begin = leaf.begin + left_count;
+      right.count = leaf.count - left_count;
+      left.stats = p.sum(left);
+      right.stats = GradientPolicy::minus(leaf.stats, left.stats);
+      if (d + 1 < params.oblivious_depth) {
+        Leaf& small = left.count <= right.count ? left : right;
+        Leaf& large = left.count <= right.count ? right : left;
+        if (small.count > 0) {
+          p.build_hist(small);
+        } else {
+          small.hist.assign(p.hist_size(), HistEntry{});
+        }
+        subtract_gradient_histogram(leaf.hist, small.hist, large.hist);
+      }
+      next.push_back(std::move(left));
+      next.push_back(std::move(right));
+    }
+    level = std::move(next);
+  }
+
+  for (const auto& leaf : level) {
+    tree.node(static_cast<std::size_t>(leaf.node)).leaf_value =
+        leaf.count == 0 ? 0.0 : p.leaf_value(leaf);
+  }
+  return tree;
+}
 
 }  // namespace
 
 GradientTreeGrower::GradientTreeGrower(const BinMapper& mapper,
                                        const BinnedMatrix& binned,
                                        const PackedBins* packed)
-    : mapper_(&mapper), binned_(&binned), packed_(packed) {
-  FLAML_REQUIRE(packed == nullptr || (packed->n_rows() == binned.n_rows() &&
-                                      packed->n_features() == binned.n_features()),
-                "packed bins must describe the same matrix as `binned`");
-}
-
-const PackedBins* GradientTreeGrower::packed_or_build() const {
-  if (packed_ != nullptr) return packed_;
-  std::call_once(pack_once_, [this] {
-    owned_packed_ = std::make_unique<PackedBins>(PackedBins::pack(*binned_));
-  });
-  return owned_packed_.get();
-}
+    : mapper_(&mapper), binned_(&binned), packed_(binned, packed) {}
 
 Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                               const std::vector<double>& grad,
@@ -532,15 +318,11 @@ Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
   FLAML_REQUIRE(!features.empty(), "cannot grow a tree with zero features");
   FLAML_REQUIRE(grad.size() == binned_->n_rows() && hess.size() == binned_->n_rows(),
                 "gradient arrays must cover all binned rows");
-  // Resolved once per tree (env read + cpuid), not per leaf. The packed
-  // kernels are bit-identical to the Scalar reference, so the choice never
-  // changes the grown tree — only how fast the histograms fill.
-  const HistKernel kernel = active_hist_kernel();
-  const PackedBins* packed =
-      kernel == HistKernel::Scalar ? nullptr : packed_or_build();
-  GrowContext ctx(*mapper_, *binned_, packed, kernel, rows, grad, hess,
-                  features, params, rng);
-  return ctx.run();
+  GrowState state(*mapper_, *binned_, packed_.get(), rows, params.n_threads, rng);
+  GradientPolicy policy(state, grad, hess, features, params);
+  if (params.style == TreeStyle::Oblivious) return grow_oblivious(state, policy);
+  return treegrow::grow_leaf_wise(
+      state, policy, {params.max_leaves, params.max_depth, params.min_gain});
 }
 
 }  // namespace flaml

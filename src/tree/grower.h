@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,10 +47,8 @@ class GradientTreeGrower {
   // `mapper`/`binned` describe the training rows (binned once per training
   // run); `view` is the matching raw view used only to fetch raw thresholds.
   // `packed` optionally shares a pre-built row-major layout of the SAME
-  // matrix (e.g. from a cached BinnedSubstrate); when null and the active
-  // histogram kernel is not Scalar, the grower packs `binned` itself, once,
-  // on first use (thread-safe — forests grow trees concurrently from one
-  // grower).
+  // matrix (e.g. from a cached BinnedSubstrate); when null the grower packs
+  // `binned` itself, once, on first use.
   GradientTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
                      const PackedBins* packed = nullptr);
 
@@ -64,13 +60,9 @@ class GradientTreeGrower {
             const GrowerParams& params, Rng& rng) const;
 
  private:
-  const PackedBins* packed_or_build() const;
-
   const BinMapper* mapper_;
   const BinnedMatrix* binned_;
-  const PackedBins* packed_;
-  mutable std::once_flag pack_once_;
-  mutable std::unique_ptr<PackedBins> owned_packed_;
+  LazyPackedBins packed_;
 };
 
 }  // namespace flaml

@@ -86,9 +86,6 @@ struct KernelFns {
 const KernelFns* portable_fns();
 // Null when the build targets a non-x86 ISA without SSE2.
 const KernelFns* sse2_fns();
-// Null when the compiler can't target AVX2 (CMake check); runtime CPU
-// support is the caller's problem (hist_kernel_available in histogram.cpp).
-const KernelFns* avx2_fns();
 
 }  // namespace histdetail
 }  // namespace flaml

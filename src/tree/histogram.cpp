@@ -1,9 +1,6 @@
 #include "tree/histogram.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "common/error.h"
 #include "tree/hist_kernels.h"
@@ -17,22 +14,12 @@ namespace {
 // callers take the same path for the same leaf.
 constexpr std::size_t kMinRowsForParallelBuild = 512;
 
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 const histdetail::KernelFns* fns_for(HistKernel k) {
   switch (k) {
     case HistKernel::Portable:
       return histdetail::portable_fns();
     case HistKernel::Sse2:
       return histdetail::sse2_fns();
-    case HistKernel::Avx2:
-      return histdetail::avx2_fns();
     case HistKernel::Scalar:
       break;
   }
@@ -59,8 +46,6 @@ const char* hist_kernel_name(HistKernel k) {
       return "portable";
     case HistKernel::Sse2:
       return "sse2";
-    case HistKernel::Avx2:
-      return "avx2";
   }
   return "unknown";
 }
@@ -72,47 +57,13 @@ bool hist_kernel_available(HistKernel k) {
       return true;
     case HistKernel::Sse2:
       return histdetail::sse2_fns() != nullptr;
-    case HistKernel::Avx2:
-      return histdetail::avx2_fns() != nullptr && cpu_has_avx2();
   }
   return false;
 }
 
-HistKernel best_hist_kernel() {
-  if (hist_kernel_available(HistKernel::Avx2)) return HistKernel::Avx2;
-  if (hist_kernel_available(HistKernel::Sse2)) return HistKernel::Sse2;
-  return HistKernel::Portable;
-}
-
 HistKernel active_hist_kernel() {
-  const char* env = std::getenv("FLAML_HISTOGRAM_KERNEL");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0 ||
-      std::strcmp(env, "simd") == 0) {
-    return best_hist_kernel();
-  }
-  HistKernel forced;
-  if (std::strcmp(env, "scalar") == 0) {
-    forced = HistKernel::Scalar;
-  } else if (std::strcmp(env, "portable") == 0) {
-    forced = HistKernel::Portable;
-  } else if (std::strcmp(env, "sse2") == 0) {
-    forced = HistKernel::Sse2;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    forced = HistKernel::Avx2;
-  } else {
-    FLAML_REQUIRE(false, "FLAML_HISTOGRAM_KERNEL='"
-                             << env
-                             << "' (want auto|simd|scalar|portable|sse2|avx2)");
-    return HistKernel::Scalar;  // unreachable
-  }
-  FLAML_REQUIRE(hist_kernel_available(forced),
-                "FLAML_HISTOGRAM_KERNEL=" << env
-                                          << " is not available on this host");
-  return forced;
-}
-
-bool packed_bins_enabled() {
-  return active_hist_kernel() != HistKernel::Scalar;
+  return hist_kernel_available(HistKernel::Sse2) ? HistKernel::Sse2
+                                                 : HistKernel::Portable;
 }
 
 std::vector<std::size_t> histogram_offsets(const BinMapper& mapper) {

@@ -31,33 +31,22 @@ struct HistEntry {
   std::uint32_t n = 0;
 };
 
-// Histogram build implementations, selectable via FLAML_HISTOGRAM_KERNEL:
-//   * Scalar   — the legacy column-major reference loop below (no packed
-//                layout); the escape hatch that preserves the pre-kernel
-//                code path byte for byte.
+// Histogram build implementations:
+//   * Scalar   — the column-major reference loops below (no packed layout).
+//                Production never runs them: they are the 0-ulp oracle of
+//                the differential harness and the benches' baseline.
 //   * Portable — packed row-major tiles, plain C++ accumulators.
 //   * Sse2     — packed tiles with a paired 128-bit (g, h) add.
-//   * Avx2     — same algorithm compiled for AVX2 (VEX + wider auxiliary
-//                passes; the scatter core stays the paired add).
-// All four produce bit-identical histograms: Portable/Sse2/Avx2 run the
-// same adds in the same order as Scalar (see hist_kernels.h), which is why
-// the fast path can default on under the existing golden digests.
-enum class HistKernel { Scalar, Portable, Sse2, Avx2 };
+// All three produce bit-identical histograms: Portable/Sse2 run the same
+// adds in the same order as Scalar (see hist_kernels.h).
+enum class HistKernel { Scalar, Portable, Sse2 };
 
 const char* hist_kernel_name(HistKernel k);
-// Compile-time AND runtime support (e.g. Avx2 needs both the -mavx2 build
-// and cpuid).
+// Whether this build can run `k` (Sse2 needs an x86 target).
 bool hist_kernel_available(HistKernel k);
-// Fastest available: Avx2 > Sse2 > Portable.
-HistKernel best_hist_kernel();
-// Resolve FLAML_HISTOGRAM_KERNEL: unset/"auto"/"simd" -> best available;
-// "scalar"/"portable"/"sse2"/"avx2" force one (FLAML_REQUIRE on an unknown
-// value or an unavailable forced kernel). Re-reads the environment on every
-// call — growers resolve once per tree, not per leaf.
+// The kernel the growers use: the platform's packed kernel — Sse2 on x86,
+// Portable elsewhere.
 HistKernel active_hist_kernel();
-// False only when the active kernel is Scalar: substrates skip building the
-// packed layout entirely when the escape hatch is forced.
-bool packed_bins_enabled();
 
 // Per-feature start slots: offsets[f] sums n_bins() of features before f;
 // offsets.back() is the total bin count.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.h"
 #include "tree/binning.h"
 
 namespace flaml {
@@ -40,6 +41,19 @@ PackedBins PackedBins::pack(const BinnedMatrix& binned) {
     }
   }
   return out;
+}
+
+LazyPackedBins::LazyPackedBins(const BinnedMatrix& binned, const PackedBins* shared)
+    : binned_(&binned), shared_(shared) {
+  FLAML_REQUIRE(shared == nullptr || (shared->n_rows() == binned.n_rows() &&
+                                      shared->n_features() == binned.n_features()),
+                "packed bins must describe the same matrix as `binned`");
+}
+
+const PackedBins& LazyPackedBins::get() const {
+  if (shared_ != nullptr) return *shared_;
+  std::call_once(once_, [this] { owned_ = PackedBins::pack(*binned_); });
+  return owned_;
 }
 
 }  // namespace flaml

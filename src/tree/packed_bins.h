@@ -1,5 +1,5 @@
 // Width-minimal, row-major packed bin codes — the memory layout the SIMD
-// histogram kernels (src/tree/hist_kernels*.cpp) read.
+// histogram kernels (src/tree/hist_kernels.cpp) read.
 //
 // BinnedMatrix stores one uint16 column per feature, which is the right
 // shape for partitioning (one feature's codes, contiguous) but the wrong
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 namespace flaml {
@@ -60,6 +61,23 @@ class PackedBins {
   bool wide_ = false;
   std::vector<std::uint8_t> codes8_;
   std::vector<std::uint16_t> codes16_;
+};
+
+// The packed layout a tree grower reads: borrowed from a shared substrate
+// when one is given, else packed from `binned` once, on first use. get() is
+// thread-safe (forests grow trees concurrently from one grower).
+class LazyPackedBins {
+ public:
+  // `shared` must describe the same matrix as `binned` (FLAML_REQUIRE).
+  LazyPackedBins(const BinnedMatrix& binned, const PackedBins* shared);
+
+  const PackedBins& get() const;
+
+ private:
+  const BinnedMatrix* binned_;
+  const PackedBins* shared_;
+  mutable std::once_flag once_;
+  mutable PackedBins owned_;
 };
 
 }  // namespace flaml

@@ -137,5 +137,29 @@ TEST(Forest, RejectsZeroTrees) {
   EXPECT_THROW(train_forest(DataView(data), params), InvalidArgument);
 }
 
+// One leaf-budget meaning for both tasks: fewer than 2 leaves is an error,
+// never "unlimited" (classification) or "a single leaf" (regression).
+TEST(Forest, RejectsLeafBudgetBelowTwo) {
+  Dataset binary = binary_data(50);
+  SyntheticSpec spec;
+  spec.task = Task::Regression;
+  spec.n_rows = 50;
+  Dataset regression = make_regression(spec);
+  for (int max_leaves : {1, 0, -1}) {
+    ForestParams params;
+    params.n_trees = 2;
+    params.max_leaves = max_leaves;
+    EXPECT_THROW(train_forest(DataView(binary), params), InvalidArgument)
+        << "classification max_leaves " << max_leaves;
+    EXPECT_THROW(train_forest(DataView(regression), params), InvalidArgument)
+        << "regression max_leaves " << max_leaves;
+  }
+  ForestParams params;
+  params.n_trees = 2;
+  params.max_leaves = 2;
+  const ForestModel model = train_forest(DataView(regression), params);
+  EXPECT_EQ(model.n_trees(), 2u);
+}
+
 }  // namespace
 }  // namespace flaml

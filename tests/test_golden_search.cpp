@@ -129,43 +129,13 @@ void expect_cache_transparent(ResamplingPolicy resampling,
 }
 
 // ---------------------------------------------------------------------------
-// Histogram-kernel goldens: the packed SIMD kernels are documented to be
-// bit-identical to the legacy scalar build (src/tree/histogram.h), so ONE
-// pinned digest must cover every FLAML_HISTOGRAM_KERNEL setting. These runs
-// use real tree learners — the stub lineup never bins data — and pin:
-//   * scalar-forced == the digest (the pre-kernel code path, byte for byte);
-//   * auto (unset) and simd-forced == the SAME digest;
-//   * run-to-run and n_parallel=1 vs 2 determinism under the simd kernels.
-// A mismatch between kernel settings is a kernel correctness bug — never
-// re-pin around it. Re-pin the constants only for intentional changes to the
-// search loop or the tree learners themselves.
-
-// Scoped FLAML_HISTOGRAM_KERNEL override; restores the prior value so kernel
-// goldens cannot leak into later tests.
-class ScopedKernelEnv {
- public:
-  explicit ScopedKernelEnv(const char* value) {
-    const char* old = std::getenv("FLAML_HISTOGRAM_KERNEL");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv("FLAML_HISTOGRAM_KERNEL");
-    } else {
-      ::setenv("FLAML_HISTOGRAM_KERNEL", value, 1);
-    }
-  }
-  ~ScopedKernelEnv() {
-    if (had_old_) {
-      ::setenv("FLAML_HISTOGRAM_KERNEL", old_.c_str(), 1);
-    } else {
-      ::unsetenv("FLAML_HISTOGRAM_KERNEL");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
+// Real-learner goldens. The stub lineup never bins data, so these runs use
+// the real tree learners and pin the whole production tree path — binning,
+// packed histogram kernels, both growers — plus run-to-run and
+// n_parallel=1 vs 2 determinism. The packed kernels are bit-identical to
+// the scalar reference builds (src/tree/histogram.h); a mismatch after a
+// kernel-only change is a bit-identity bug — never re-pin around it. Re-pin
+// only for intentional changes to the search loop or the tree learners.
 
 std::uint64_t real_search_digest(std::size_t n_parallel) {
   const Dataset data = resume_tiny_binary(2024);
@@ -176,8 +146,8 @@ std::uint64_t real_search_digest(std::size_t n_parallel) {
   return history_digest(automl.history());
 }
 
-// Pinned digests of the seed-7 real-learner holdout search. One constant per
-// n_parallel serves every kernel setting.
+// Pinned digests of the seed-7 real-learner holdout search, one per
+// n_parallel.
 constexpr std::uint64_t kRealSerialDigest = 0x4761dfa18c7e2d32ULL;
 constexpr std::uint64_t kRealParallelDigest = 0x7ba5ed9c505cf6f1ULL;
 
@@ -187,29 +157,19 @@ void expect_digest(std::uint64_t got, std::uint64_t want,
   g << std::hex << got;
   w << std::hex << want;
   EXPECT_EQ(g.str(), w.str())
-      << what << ": the kernel-golden search history changed. If the search "
+      << what << ": the real-learner search history changed. If the search "
       << "or the learners changed intentionally, re-pin; if only the "
       << "histogram kernels changed, this is a bit-identity bug.";
 }
 
-TEST(GoldenSearch, ScalarKernelForcedMatchesPinnedDigest) {
-  ScopedKernelEnv env("scalar");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "scalar serial");
-  expect_digest(real_search_digest(2), kRealParallelDigest, "scalar parallel");
+TEST(GoldenSearch, RealLearnerDigestSerial) {
+  expect_digest(real_search_digest(1), kRealSerialDigest, "serial run 1");
+  expect_digest(real_search_digest(1), kRealSerialDigest, "serial run 2");
 }
 
-TEST(GoldenSearch, SimdKernelMatchesScalarDigestAndIsRunToRunStable) {
-  {
-    ScopedKernelEnv env(nullptr);  // auto: best available packed kernel
-    expect_digest(real_search_digest(1), kRealSerialDigest, "auto serial");
-  }
-  ScopedKernelEnv env("simd");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "simd serial run 1");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "simd serial run 2");
-  expect_digest(real_search_digest(2), kRealParallelDigest,
-                "simd parallel run 1");
-  expect_digest(real_search_digest(2), kRealParallelDigest,
-                "simd parallel run 2");
+TEST(GoldenSearch, RealLearnerDigestParallel) {
+  expect_digest(real_search_digest(2), kRealParallelDigest, "parallel run 1");
+  expect_digest(real_search_digest(2), kRealParallelDigest, "parallel run 2");
 }
 
 TEST(GoldenSearch, SubstrateCacheTransparentHoldoutSerial) {

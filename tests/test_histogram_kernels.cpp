@@ -1,6 +1,6 @@
 // Kernel differential-test harness (docs/TESTING.md, "Kernel differential
-// testing"): every packed histogram kernel (portable / sse2 / avx2, whichever
-// this build + CPU supports) is compared against the legacy scalar build —
+// testing"): every packed histogram kernel (portable, plus sse2 on x86) is
+// compared against the scalar build —
 // the reference implementation — over a sweep of bin widths crossing the
 // uint8/uint16 packing boundary and a battery of edge shapes:
 //
@@ -16,7 +16,7 @@
 //   * counts (n, and class-layout cells under unit weights) exactly equal;
 //   * (g, h) sums within kUlpBound ulps of scalar — pinned at ZERO: the
 //     packed kernels execute the same IEEE adds in the same per-accumulator
-//     order as the scalar loop (see hist_kernels_impl.h), so they are
+//     order as the scalar loop (see hist_kernels.cpp), so they are
 //     bit-identical, NaN payloads included. The bound is a named constant so
 //     a future kernel that genuinely must reorder states its looseness in
 //     the diff of this file, not silently.
@@ -74,8 +74,7 @@ std::int64_t ulp_distance(double a, double b) {
 
 std::vector<HistKernel> packed_kernels() {
   std::vector<HistKernel> out;
-  for (HistKernel k :
-       {HistKernel::Portable, HistKernel::Sse2, HistKernel::Avx2}) {
+  for (HistKernel k : {HistKernel::Portable, HistKernel::Sse2}) {
     if (hist_kernel_available(k)) out.push_back(k);
   }
   return out;
@@ -247,11 +246,14 @@ void run_differential(const Fixture& fx, const std::string& what) {
 
 TEST(HistogramKernels, AtLeastOnePackedKernelIsAvailable) {
   // Portable has no ISA requirement, so the packed path can never be
-  // silently absent. best_hist_kernel() must be one of the packed kernels.
+  // silently absent. The growers' kernel is the platform's packed kernel.
   EXPECT_TRUE(hist_kernel_available(HistKernel::Portable));
   EXPECT_FALSE(packed_kernels().empty());
-  EXPECT_NE(best_hist_kernel(), HistKernel::Scalar);
-  EXPECT_TRUE(hist_kernel_available(best_hist_kernel()));
+  EXPECT_NE(active_hist_kernel(), HistKernel::Scalar);
+  EXPECT_TRUE(hist_kernel_available(active_hist_kernel()));
+#if defined(__x86_64__) || defined(_M_X64)
+  EXPECT_EQ(active_hist_kernel(), HistKernel::Sse2);
+#endif
 }
 
 TEST(HistogramKernels, DifferentialSweepAcrossBinWidthsAndEdges) {

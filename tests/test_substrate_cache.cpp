@@ -85,12 +85,10 @@ TEST(SubstrateCache, HitMissAndBytesCounters) {
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.misses, 3u);
   // 3 substrates of 100/100/50 rows × 5 features: 2-byte columns, plus the
-  // 1-byte packed row-major plane (all codes ≤ 255 here) unless the scalar
-  // kernel escape hatch disabled packing.
+  // 1-byte packed row-major plane (all codes ≤ 255 here).
   const std::size_t cells = (100 + 100 + 50) * 5;
   const std::size_t expected_bytes =
-      cells * sizeof(std::uint16_t) +
-      (packed_bins_enabled() ? cells * sizeof(std::uint8_t) : 0);
+      cells * sizeof(std::uint16_t) + cells * sizeof(std::uint8_t);
   EXPECT_EQ(c.bytes, expected_bytes);
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.hits"), 1.0);
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.misses"), 3.0);
