@@ -57,9 +57,6 @@ class GradientPolicy {
         unit_hess_(std::all_of(hess.begin(), hess.end(),
                                [](double v) { return v == 1.0; })) {}
 
-  const GrowerParams& params() const { return params_; }
-  std::size_t hist_size() const { return s_.offsets.back(); }
-
   GradStats sum(const Leaf& leaf) const {
     GradStats t;
     const std::uint32_t* rows = s_.rows(leaf.begin);
@@ -179,9 +176,8 @@ class GradientPolicy {
 
 // CatBoost-style growth: one shared split per level, chosen to maximize the
 // level-summed gain, applied to every leaf of the level.
-Tree grow_oblivious(GrowState& s, GradientPolicy& p) {
+Tree grow_oblivious(GrowState& s, GradientPolicy& p, const GrowerParams& params) {
   using Leaf = GradientPolicy::Leaf;
-  const GrowerParams& params = p.params();
   Tree tree;
   std::vector<Leaf> level;
   Leaf root;
@@ -285,7 +281,7 @@ Tree grow_oblivious(GrowState& s, GradientPolicy& p) {
         if (small.count > 0) {
           p.build_hist(small);
         } else {
-          small.hist.assign(p.hist_size(), HistEntry{});
+          small.hist.assign(s.offsets.back(), HistEntry{});
         }
         subtract_gradient_histogram(leaf.hist, small.hist, large.hist);
       }
@@ -320,7 +316,7 @@ Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                 "gradient arrays must cover all binned rows");
   GrowState state(*mapper_, *binned_, packed_.get(), rows, params.n_threads, rng);
   GradientPolicy policy(state, grad, hess, features, params);
-  if (params.style == TreeStyle::Oblivious) return grow_oblivious(state, policy);
+  if (params.style == TreeStyle::Oblivious) return grow_oblivious(state, policy, params);
   return treegrow::grow_leaf_wise(
       state, policy, {params.max_leaves, params.max_depth, params.min_gain});
 }
