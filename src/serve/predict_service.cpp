@@ -1,9 +1,7 @@
 #include "serve/predict_service.h"
 
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "common/error.h"
 #include "common/wire.h"
@@ -98,15 +96,6 @@ std::string PredictService::handle_line(const std::string& line) {
         error_response(std::string("bad request JSON: ") + e.what()));
   }
   return dump_json_compact(handle(request));
-}
-
-void PredictService::serve_stream(std::istream& in, std::ostream& out) {
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (line.empty()) continue;
-    out << handle_line(line) << '\n';
-    out.flush();
-  }
 }
 
 JsonValue PredictService::dispatch(const JsonValue& request) {

@@ -32,12 +32,12 @@
 // round-trip: the JSON writer emits 17 significant digits.
 //
 // handle()/handle_line() are safe to call from multiple threads — that is
-// the point: the CLI serves each AF_UNIX connection on its own thread, so
-// the daemon's micro-batching window spans concurrent clients.
+// the point: the socket transport (common/line_server.h) serves each
+// AF_UNIX connection on its own thread, so the daemon's micro-batching
+// window spans concurrent clients.
 #pragma once
 
 #include <atomic>
-#include <iosfwd>
 #include <string>
 
 #include "serve/predict_daemon.h"
@@ -54,9 +54,6 @@ class PredictService {
 
   // Handle one raw request line (parse errors become error responses too).
   std::string handle_line(const std::string& line);
-
-  // Serve `in` until EOF or a shutdown op (stdio mode).
-  void serve_stream(std::istream& in, std::ostream& out);
 
   bool shutdown_requested() const { return shutdown_requested_.load(); }
 

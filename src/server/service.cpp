@@ -1,8 +1,5 @@
 #include "server/service.h"
 
-#include <istream>
-#include <ostream>
-
 #include "common/error.h"
 #include "common/wire.h"
 #include "observe/trace.h"
@@ -68,15 +65,6 @@ std::string SearchService::handle_line(const std::string& line) {
   return dump_json_compact(handle(request));
 }
 
-void SearchService::serve_stream(std::istream& in, std::ostream& out) {
-  std::string line;
-  while (!shutdown_requested_ && std::getline(in, line)) {
-    if (line.empty()) continue;
-    out << handle_line(line) << '\n';
-    out.flush();
-  }
-}
-
 JsonValue SearchService::dispatch(const JsonValue& request) {
   FLAML_REQUIRE(request.is_object(), "request must be a JSON object");
   const std::string op = opt_string(request, "op", "");
@@ -134,7 +122,7 @@ JsonValue SearchService::dispatch(const JsonValue& request) {
   }
   if (op == "shutdown") {
     daemon_->shutdown();
-    shutdown_requested_ = true;
+    shutdown_requested_.store(true);
     JsonValue out = ok_response();
     out.set("bye", JsonValue::make_bool(true));
     return out;

@@ -30,8 +30,8 @@
 // src/observe JSONL schema (each element additionally carries "seq").
 #pragma once
 
+#include <atomic>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -53,18 +53,15 @@ class SearchService {
   void set_customize(Customize customize) { customize_ = std::move(customize); }
 
   // Handle one decoded request; never throws (errors become
-  // {"ok":false,"error":...} responses).
+  // {"ok":false,"error":...} responses). Thread-safe: the socket transport
+  // (common/line_server.h) calls it from one thread per connection.
   JsonValue handle(const JsonValue& request);
 
   // Handle one raw request line (parse errors become error responses too).
   std::string handle_line(const std::string& line);
 
-  // Serve `in` until EOF or a shutdown op: one request line -> one response
-  // line on `out` (flushed per response). Blank lines are ignored.
-  void serve_stream(std::istream& in, std::ostream& out);
-
   // True once a shutdown op was handled (the daemon is already down).
-  bool shutdown_requested() const { return shutdown_requested_; }
+  bool shutdown_requested() const { return shutdown_requested_.load(); }
 
   // The dataset cache (bounded, content-fingerprinted — dataset_cache.h):
   // N jobs over the same data share one immutable Dataset, and a CSV file
@@ -79,7 +76,7 @@ class SearchService {
   SearchDaemon* daemon_;
   Customize customize_;
   DatasetCache dataset_cache_;
-  bool shutdown_requested_ = false;
+  std::atomic<bool> shutdown_requested_{false};
 };
 
 }  // namespace flaml::server

@@ -9,6 +9,7 @@
 #include "resume/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -187,7 +188,9 @@ FLAML_PROP(ResumeStress, RoundRobinParallelResumeKeepsSerialIdentity, 2) {
 const std::string& fuzz_checkpoint_text() {
   static const std::string text = [] {
     const Dataset data = resume_tiny_binary(97);
-    const std::string path = ::testing::TempDir() + "resume_fuzz_source.ckpt";
+    // Per process: ctest -j runs the three fuzz tests that share it at once.
+    const std::string path = ::testing::TempDir() + "resume_fuzz_source_" +
+                             std::to_string(::getpid()) + ".ckpt";
     AutoMLOptions options = resume_options(17, 10);
     AutoML automl;
     [&] { run_killed_fit(automl, data, options, path, 6); }();

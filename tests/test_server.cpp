@@ -15,6 +15,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/line_server.h"
 #include "server/service.h"
 #include "support/resume_test_util.h"
 
@@ -529,7 +530,9 @@ TEST(SearchService, ServeStreamSpeaksOneLinePerRequest) {
       "{\"op\":\"shutdown\"}\n"
       "{\"op\":\"ping\"}\n");  // after shutdown: never read
   std::ostringstream out;
-  service.serve_stream(in, out);
+  line_server::serve_lines(
+      in, out, [&](const std::string& line) { return service.handle_line(line); },
+      [&] { return service.shutdown_requested(); });
   std::vector<std::string> lines;
   std::istringstream parse(out.str());
   for (std::string line; std::getline(parse, line);) lines.push_back(line);

@@ -24,21 +24,11 @@
 
 #include "automl/automl.h"
 #include "data/csv.h"
+#include "flags.h"
 
 using namespace flaml;
 
 namespace {
-
-std::string flag(int argc, char** argv, const std::string& key,
-                 const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == "--" + key) return "1";
-  }
-  return fallback;
-}
 
 Task parse_task(const std::string& name) {
   if (name == "binary") return Task::BinaryClassification;

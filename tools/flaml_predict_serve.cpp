@@ -13,10 +13,10 @@
 //
 // stdio mode reads one JSON request per line on stdin — scriptable with a
 // heredoc, which is what scripts/predict_serve_smoke.sh does in CI. Socket
-// mode serves EACH connection on its own thread, so the daemon's
-// micro-batching window spans concurrent clients: requests arriving within
-// --batch-delay-ms of each other are scored as one row-sharded
-// predict_many call (bit-identical to scoring them alone).
+// mode (src/common/line_server.h) serves EACH connection on its own thread,
+// so the daemon's micro-batching window spans concurrent clients: requests
+// arriving within --batch-delay-ms of each other are scored as one
+// row-sharded predict_many call (bit-identical to scoring them alone).
 //
 // Client (every subcommand needs --socket=PATH):
 //   flaml_predict_serve ping|stats|drain|reload|shutdown --socket=PATH
@@ -28,38 +28,19 @@
 // response verbatim; the exit code is 0 iff the response has "ok": true.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/error.h"
+#include "common/line_server.h"
 #include "serve/predict_service.h"
-
-#ifndef _WIN32
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
+#include "flags.h"
 
 using namespace flaml;
 using namespace flaml::serve;
 
 namespace {
-
-std::string flag(int argc, char** argv, const std::string& key,
-                 const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == "--" + key) return "1";
-  }
-  return fallback;
-}
 
 int usage() {
   std::fprintf(
@@ -96,105 +77,6 @@ int run_compile(int argc, char** argv) {
   return 0;
 }
 
-#ifndef _WIN32
-
-// One thread per accepted connection: the batching window spans clients.
-int serve_socket(PredictService& service, const std::string& path) {
-  ::unlink(path.c_str());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLAML_REQUIRE(fd >= 0, "socket(): " << std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  FLAML_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "socket path too long: '" << path << "'");
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  FLAML_REQUIRE(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                "bind('" << path << "'): " << std::strerror(errno));
-  FLAML_REQUIRE(::listen(fd, 64) == 0, "listen(): " << std::strerror(errno));
-  std::fprintf(stderr, "listening on %s\n", path.c_str());
-
-  std::vector<std::thread> clients;
-  while (!service.shutdown_requested()) {
-    // Poll before accepting: a shutdown op is answered on a CLIENT thread,
-    // so a bare accept() would block forever waiting for a connection that
-    // never comes.
-    pollfd pending{fd, POLLIN, 0};
-    const int ready = ::poll(&pending, 1, 200);
-    if (ready < 0) break;
-    if (ready == 0) continue;
-    const int client = ::accept(fd, nullptr, nullptr);
-    if (client < 0) break;
-    clients.emplace_back([&service, client] {
-      std::string buffer;
-      char chunk[4096];
-      ssize_t n = 0;
-      while ((n = ::read(client, chunk, sizeof(chunk))) > 0) {
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t pos = 0;
-        while ((pos = buffer.find('\n')) != std::string::npos) {
-          const std::string line = buffer.substr(0, pos);
-          buffer.erase(0, pos + 1);
-          if (line.empty()) continue;
-          const std::string response = service.handle_line(line) + "\n";
-          std::size_t written = 0;
-          while (written < response.size()) {
-            const ssize_t w = ::write(client, response.data() + written,
-                                      response.size() - written);
-            if (w <= 0) break;
-            written += static_cast<std::size_t>(w);
-          }
-        }
-      }
-      ::close(client);
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  ::close(fd);
-  ::unlink(path.c_str());
-  return 0;
-}
-
-// One request line -> one response line over the daemon's unix socket.
-std::string round_trip(const std::string& path, const std::string& request) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLAML_REQUIRE(fd >= 0, "socket(): " << std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  FLAML_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "socket path too long: '" << path << "'");
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw InvalidArgument("connect('" + path + "'): " + std::strerror(errno));
-  }
-  const std::string line = request + "\n";
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t w = ::write(fd, line.data() + written, line.size() - written);
-    FLAML_REQUIRE(w > 0, "write(): " << std::strerror(errno));
-    written += static_cast<std::size_t>(w);
-  }
-  std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1 && c != '\n') response.push_back(c);
-  ::close(fd);
-  FLAML_REQUIRE(!response.empty(), "daemon closed the connection mid-request");
-  return response;
-}
-
-#else
-
-int serve_socket(PredictService&, const std::string&) {
-  std::fprintf(stderr, "socket mode is POSIX-only; use stdio mode\n");
-  return 2;
-}
-
-std::string round_trip(const std::string&, const std::string&) {
-  throw InvalidArgument("client mode is POSIX-only");
-}
-
-#endif  // _WIN32
-
 int run_serve(int argc, char** argv) {
   PredictDaemonOptions options;
   options.max_batch_rows = static_cast<std::size_t>(
@@ -212,8 +94,10 @@ int run_serve(int argc, char** argv) {
   if (!artifact.empty()) daemon.load(artifact);
   PredictService service(daemon);
   const std::string socket_path = flag(argc, argv, "socket", "");
-  if (!socket_path.empty()) return serve_socket(service, socket_path);
-  service.serve_stream(std::cin, std::cout);
+  const auto handler = [&](const std::string& line) { return service.handle_line(line); };
+  const auto stop = [&] { return service.shutdown_requested(); };
+  if (!socket_path.empty()) return line_server::serve_unix_socket(socket_path, handler, stop);
+  line_server::serve_lines(std::cin, std::cout, handler, stop);
   // EOF without a shutdown op still tears the daemon down cleanly
   // (fail queued requests, join the batcher) via ~PredictDaemon.
   return 0;
@@ -243,7 +127,7 @@ int run_client(const std::string& op, int argc, char** argv) {
     }
     line = dump_json_compact(request);
   }
-  const std::string response = round_trip(socket_path, line);
+  const std::string response = line_server::round_trip(socket_path, line);
   std::printf("%s\n", response.c_str());
   const JsonValue parsed = parse_json(response);
   const JsonValue* ok = parsed.find("ok");

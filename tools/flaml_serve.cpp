@@ -7,8 +7,9 @@
 // stdio mode reads one JSON request per line on stdin and writes one JSON
 // response per line on stdout (the protocol in src/server/service.h) —
 // scriptable with a heredoc, which is exactly what scripts/serve_smoke.sh
-// does in CI. Socket mode accepts one client connection at a time and
-// speaks the same protocol; it exits after a shutdown op.
+// does in CI. Socket mode serves each connection on its own thread (the
+// shared transport in src/common/line_server.h), so a blocking "wait" never
+// holds up another client; it exits after a shutdown op.
 //
 // Client (every subcommand needs --socket=PATH):
 //   flaml_serve ping|list|wait-all|shutdown          --socket=PATH
@@ -25,34 +26,18 @@
 // response verbatim; the exit code is 0 iff the response has "ok": true.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "common/error.h"
+#include "common/line_server.h"
 #include "server/service.h"
-
-#ifndef _WIN32
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
+#include "flags.h"
 
 using namespace flaml;
 using namespace flaml::server;
 
 namespace {
-
-std::string flag(int argc, char** argv, const std::string& key,
-                 const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == "--" + key) return "1";
-  }
-  return fallback;
-}
 
 int usage() {
   std::fprintf(
@@ -66,93 +51,6 @@ int usage() {
       "       flaml_serve request --socket=PATH --json='{\"op\":...}'\n");
   return 2;
 }
-
-#ifndef _WIN32
-
-int serve_socket(SearchService& service, const std::string& path) {
-  ::unlink(path.c_str());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLAML_REQUIRE(fd >= 0, "socket(): " << std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  FLAML_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "socket path too long: '" << path << "'");
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  FLAML_REQUIRE(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                "bind('" << path << "'): " << std::strerror(errno));
-  FLAML_REQUIRE(::listen(fd, 8) == 0, "listen(): " << std::strerror(errno));
-  std::fprintf(stderr, "listening on %s\n", path.c_str());
-  while (!service.shutdown_requested()) {
-    const int client = ::accept(fd, nullptr, nullptr);
-    if (client < 0) break;
-    std::string buffer;
-    char chunk[4096];
-    ssize_t n = 0;
-    while (!service.shutdown_requested() &&
-           (n = ::read(client, chunk, sizeof(chunk))) > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos = 0;
-      while ((pos = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        if (line.empty()) continue;
-        const std::string response = service.handle_line(line) + "\n";
-        std::size_t written = 0;
-        while (written < response.size()) {
-          const ssize_t w = ::write(client, response.data() + written,
-                                    response.size() - written);
-          if (w <= 0) break;
-          written += static_cast<std::size_t>(w);
-        }
-      }
-    }
-    ::close(client);
-  }
-  ::close(fd);
-  ::unlink(path.c_str());
-  return 0;
-}
-
-// One request line -> one response line over the daemon's unix socket.
-std::string round_trip(const std::string& path, const std::string& request) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLAML_REQUIRE(fd >= 0, "socket(): " << std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  FLAML_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "socket path too long: '" << path << "'");
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw InvalidArgument("connect('" + path + "'): " + std::strerror(errno));
-  }
-  const std::string line = request + "\n";
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t w = ::write(fd, line.data() + written, line.size() - written);
-    FLAML_REQUIRE(w > 0, "write(): " << std::strerror(errno));
-    written += static_cast<std::size_t>(w);
-  }
-  std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1 && c != '\n') response.push_back(c);
-  ::close(fd);
-  FLAML_REQUIRE(!response.empty(), "daemon closed the connection mid-request");
-  return response;
-}
-
-#else
-
-int serve_socket(SearchService&, const std::string&) {
-  std::fprintf(stderr, "socket mode is POSIX-only; use stdio mode\n");
-  return 2;
-}
-
-std::string round_trip(const std::string&, const std::string&) {
-  throw InvalidArgument("client mode is POSIX-only");
-}
-
-#endif  // _WIN32
 
 void set_if(JsonValue& request, int argc, char** argv, const std::string& key,
             const std::string& field, bool numeric) {
@@ -237,7 +135,7 @@ int run_client(const std::string& op, int argc, char** argv) {
     set_if(request, argc, argv, "since", "since", true);
     line = dump_json_compact(request);
   }
-  const std::string response = round_trip(socket_path, line);
+  const std::string response = line_server::round_trip(socket_path, line);
   std::printf("%s\n", response.c_str());
   const JsonValue parsed = parse_json(response);
   const JsonValue* ok = parsed.find("ok");
@@ -259,8 +157,10 @@ int main(int argc, char** argv) {
       SearchDaemon daemon(options);
       SearchService service(daemon);
       const std::string socket_path = flag(argc, argv, "socket", "");
-      if (!socket_path.empty()) return serve_socket(service, socket_path);
-      service.serve_stream(std::cin, std::cout);
+      const auto handler = [&](const std::string& line) { return service.handle_line(line); };
+      const auto stop = [&] { return service.shutdown_requested(); };
+      if (!socket_path.empty()) return line_server::serve_unix_socket(socket_path, handler, stop);
+      line_server::serve_lines(std::cin, std::cout, handler, stop);
       // EOF without a shutdown op still tears the daemon down cleanly
       // (cancel everything, drain segments) via ~SearchDaemon.
       return 0;
