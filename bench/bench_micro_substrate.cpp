@@ -44,8 +44,8 @@ void BM_HistogramTreeGrow(benchmark::State& state) {
   const int leaves = static_cast<int>(state.range(1));
   DataView view = DataView(bench_data()).prefix(n);
   BinMapper mapper = BinMapper::fit(view, 255);
-  BinnedMatrix binned = mapper.encode(view);
-  GradientTreeGrower grower(mapper, binned);
+  PackedBins packed = mapper.encode_packed(view);
+  GradientTreeGrower grower(mapper, packed);
   std::vector<std::uint32_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0u);
   std::vector<double> grad(n), hess(n, 1.0);

@@ -51,9 +51,11 @@ struct BenchData {
   Dataset regression;
   Dataset classification;
   BinMapper mapper;
-  BinnedMatrix binned;
+  BinnedMatrix binned;  // scalar-reference input of the kernel sweep
+  PackedBins packed;
   BinMapper class_mapper;
   BinnedMatrix class_binned;
+  PackedBins class_packed;
   std::vector<std::uint32_t> rows;
   std::vector<double> grad, hess;
   std::vector<int> features;
@@ -78,13 +80,16 @@ BenchData make_bench_data(int n_rows, int n_features) {
 
   BinMapper mapper = BinMapper::fit(DataView(regression), 255);
   BinnedMatrix binned = mapper.encode(DataView(regression));
+  PackedBins packed = mapper.encode_packed(DataView(regression));
   BinMapper class_mapper = BinMapper::fit(DataView(classification), 255);
   BinnedMatrix class_binned = class_mapper.encode(DataView(classification));
+  PackedBins class_packed = class_mapper.encode_packed(DataView(classification));
 
   const std::size_t n = regression.n_rows();
   BenchData data{std::move(regression),   std::move(classification),
                  std::move(mapper),       std::move(binned),
-                 std::move(class_mapper), std::move(class_binned),
+                 std::move(packed),       std::move(class_mapper),
+                 std::move(class_binned), std::move(class_packed),
                  {},                      {},
                  {},                      {},
                  {}};
@@ -164,8 +169,8 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
   const std::vector<std::size_t> offsets = histogram_offsets(data.mapper);
   const std::vector<std::size_t> class_offsets =
       histogram_offsets(data.class_mapper);
-  const PackedBins packed = PackedBins::pack(data.binned);
-  const PackedBins class_packed = PackedBins::pack(data.class_binned);
+  const PackedBins& packed = data.packed;
+  const PackedBins& class_packed = data.class_packed;
   const bool unit_hess = std::all_of(data.hess.begin(), data.hess.end(),
                                      [](double v) { return v == 1.0; });
   // Gathered half subset (every other row): the non-root shape, where rows
@@ -299,7 +304,7 @@ Tree grow_leafwise(const BenchData& data, int n_threads) {
   GrowerParams params;
   params.max_leaves = 63;
   params.n_threads = n_threads;
-  GradientTreeGrower grower(data.mapper, data.binned);
+  GradientTreeGrower grower(data.mapper, data.packed);
   Rng rng(0x51ULL);
   return grower.grow(data.rows, data.grad, data.hess, data.features, params, rng);
 }
@@ -308,7 +313,7 @@ Tree grow_class(const BenchData& data, int n_threads) {
   ClassGrowerParams params;
   params.max_leaves = 63;
   params.n_threads = n_threads;
-  ClassTreeGrower grower(data.class_mapper, data.class_binned, 3);
+  ClassTreeGrower grower(data.class_mapper, data.class_packed, 3);
   Rng rng(0x52ULL);
   return grower.grow(data.rows, data.labels, {}, params, rng);
 }

@@ -60,19 +60,16 @@ void SubstrateCache::record_build(const SubstrateKey& key,
     fields.set("fold", JsonValue::make_number(fold));
     fields.set("max_bin", JsonValue::make_number(max_bin));
     fields.set("rows", JsonValue::make_number(
-                           static_cast<double>(built.binned.n_rows())));
+                           static_cast<double>(built.packed.n_rows())));
     fields.set("bytes", JsonValue::make_number(static_cast<double>(built_bytes)));
     fields.set("total_bytes",
                JsonValue::make_number(static_cast<double>(total_bytes)));
-    // Packed-layout accounting: 0 bytes when the scalar kernel is forced,
-    // otherwise the row-major code plane served to the SIMD kernels
-    // ("u8" at the default max_bin = 255 — half the column matrix).
+    // The packed codes are the whole substrate, so packed_bytes == bytes;
+    // "u8" at the default max_bin = 255.
     fields.set("packed_bytes", JsonValue::make_number(
                                    static_cast<double>(built.packed.bytes())));
     fields.set("packed_width",
-               JsonValue::make_string(built.packed.empty()  ? "none"
-                                      : built.packed.wide() ? "u16"
-                                                            : "u8"));
+               JsonValue::make_string(built.packed.wide() ? "u16" : "u8"));
     tracer_.emit("substrate_cache", std::move(fields));
   }
 }

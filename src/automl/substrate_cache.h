@@ -1,7 +1,7 @@
 // Cross-trial binned-substrate cache for the trial hot loop.
 //
 // Every histogram trial used to open with the same ritual: fit a BinMapper
-// on its training rows and encode them into a BinnedMatrix. The search loop
+// on its training rows and encode them into packed bin codes. The search loop
 // re-evaluates the same sample sizes hundreds of times (FLOW2 proposes many
 // configs per (learner, sample_size) rung), so that fit+encode — O(n·d) with
 // a sort per feature — was pure re-computation. This cache, owned by the
@@ -25,10 +25,10 @@
 // synchronization.
 //
 // Determinism contract: cache on vs off is byte-identical — the cache runs
-// the same BinMapper::fit + encode (see build_substrate) and the same
+// the same BinMapper::fit + encode_packed (see build_substrate) and the same
 // kfold_split with the same seed the uncached path uses, and trainers
-// verify rows/max_bin before accepting a substrate. Pinned by the golden
-// digest equality tests and the property suite in
+// verify rows/max_bin before accepting a substrate (acquire_substrate).
+// Pinned by the golden digest equality tests and the property suite in
 // tests/test_substrate_cache.cpp.
 #pragma once
 
@@ -52,7 +52,7 @@ class SubstrateCache {
   struct Counters {
     std::uint64_t hits = 0;    // lookups served from an existing entry
     std::uint64_t misses = 0;  // lookups that created (and built) the entry
-    std::size_t bytes = 0;     // total encoded-matrix bytes held
+    std::size_t bytes = 0;     // total packed-code bytes held
   };
 
   // `train_view` is the runner's shuffled training view (samples are its

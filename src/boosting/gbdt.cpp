@@ -151,22 +151,11 @@ GBDTModel train_gbdt(const DataView& train, const DataView* valid,
   Rng rng(params.seed == 0 ? 0x5eedf1a31ULL : params.seed);
   WallClock clock;
 
-  // Bin the training rows: take the shared cross-trial substrate when the
-  // provider has one for exactly these rows at this max_bin, else fit
-  // fresh. Both paths are byte-identical by construction (build_substrate
-  // runs the same fit+encode), so the provider can never change the model.
-  std::shared_ptr<const BinnedSubstrate> shared =
-      params.substrate ? params.substrate(params.max_bin) : nullptr;
-  if (shared != nullptr && (shared->max_bin != params.max_bin ||
-                            shared->binned.n_rows() != train.n_rows())) {
-    shared = nullptr;
-  }
-  BinnedSubstrate local;
-  if (shared == nullptr) local = build_substrate(train, params.max_bin);
-  const BinMapper& mapper = shared ? shared->mapper : local.mapper;
-  const BinnedMatrix& binned = shared ? shared->binned : local.binned;
-  // Hand the substrate's packed row-major layout to the grower.
-  GradientTreeGrower grower(mapper, binned, shared ? &shared->packed : &local.packed);
+  // Bin the training rows, or take the provider's shared substrate for
+  // exactly these rows.
+  const std::shared_ptr<const BinnedSubstrate> substrate =
+      acquire_substrate(params.substrate, train, params.max_bin);
+  GradientTreeGrower grower(substrate->mapper, substrate->packed);
 
   const std::size_t n = train.n_rows();
   std::vector<double> labels = train.labels();

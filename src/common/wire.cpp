@@ -66,6 +66,21 @@ std::size_t opt_size(const JsonValue& request, const std::string& key,
       decode_integer(v->number, "field '" + key + "'", 0, max));
 }
 
+std::int64_t opt_int(const JsonValue& request, const std::string& key,
+                     std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
+  constexpr auto kSafe = static_cast<std::int64_t>(kMaxSafeInteger);
+  FLAML_CHECK(-kSafe <= lo && lo <= hi && hi <= kSafe);
+  const JsonValue* v = opt(request, key);
+  if (v == nullptr) return fallback;
+  FLAML_REQUIRE(v->is_number(), "field '" << key << "' must be a number");
+  const double n = v->number;
+  FLAML_REQUIRE(std::isfinite(n) && n == std::floor(n) &&
+                    n >= static_cast<double>(lo) && n <= static_cast<double>(hi),
+                "field '" << key << "' must be an integer in [" << lo << ", "
+                          << hi << "], got " << n);
+  return static_cast<std::int64_t>(n);
+}
+
 std::uint64_t req_id(const JsonValue& request, const std::string& key,
                      std::uint64_t max) {
   const JsonValue* v = opt(request, key);

@@ -43,6 +43,12 @@ std::size_t opt_size(const JsonValue& request, const std::string& key,
                      std::size_t fallback,
                      std::uint64_t max = kMaxSafeInteger);
 
+// Strictly-integral optional signed field in [lo, hi]; fractional,
+// non-finite and out-of-range values all throw. The bounds must lie within
+// ±2^53 so that the range check itself is exact.
+std::int64_t opt_int(const JsonValue& request, const std::string& key,
+                     std::int64_t fallback, std::int64_t lo, std::int64_t hi);
+
 // Required strictly-integral field in [1, max] — job/model ids.
 std::uint64_t req_id(const JsonValue& request, const std::string& key = "id",
                      std::uint64_t max = kMaxSafeInteger);

@@ -129,20 +129,12 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
     return built >= 1;
   };
 
-  // Shared cross-trial substrate when available for exactly these rows at
-  // this max_bin; otherwise fit fresh. Byte-identical either way.
-  std::shared_ptr<const BinnedSubstrate> shared =
-      params.substrate ? params.substrate(params.max_bin) : nullptr;
-  if (shared != nullptr && (shared->max_bin != params.max_bin ||
-                            shared->binned.n_rows() != train.n_rows())) {
-    shared = nullptr;
-  }
-  BinnedSubstrate local;
-  if (shared == nullptr) local = build_substrate(train, params.max_bin);
-  const BinMapper& mapper = shared ? shared->mapper : local.mapper;
-  const BinnedMatrix& binned = shared ? shared->binned : local.binned;
-  // The substrate's packed row-major layout, shared by every tree.
-  const PackedBins* packed_ptr = shared ? &shared->packed : &local.packed;
+  // Bin the training rows, or take the provider's shared substrate for
+  // exactly these rows; every tree reads the same packed codes.
+  const std::shared_ptr<const BinnedSubstrate> substrate =
+      acquire_substrate(params.substrate, train, params.max_bin);
+  const BinMapper& mapper = substrate->mapper;
+  const PackedBins& packed = substrate->packed;
 
   ForestModel model(task, dataset.n_classes());
 
@@ -278,7 +270,7 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
     std::vector<int> labels(n);
     for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(train.label(i));
     std::vector<double> weights = weighted ? train.weights() : std::vector<double>{};
-    ClassTreeGrower grower(mapper, binned, dataset.n_classes(), packed_ptr);
+    ClassTreeGrower grower(mapper, packed, dataset.n_classes());
     ClassGrowerParams gp;
     gp.max_leaves = params.max_leaves;
     gp.min_samples_leaf = params.min_samples_leaf;
@@ -304,7 +296,7 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
       grad[i] = -w * train.label(i);
       hess[i] = w;
     }
-    GradientTreeGrower grower(mapper, binned, packed_ptr);
+    GradientTreeGrower grower(mapper, packed);
     GrowerParams gp;
     gp.max_leaves = params.max_leaves;
     gp.min_samples_leaf = std::max(1, params.min_samples_leaf);

@@ -1,5 +1,7 @@
 #include "server/service.h"
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/wire.h"
 #include "observe/trace.h"
@@ -12,10 +14,20 @@ namespace {
 using wire::error_response;
 using wire::ok_response;
 using wire::opt;
+using wire::opt_int;
 using wire::opt_number;
 using wire::opt_size;
 using wire::opt_string;
 using wire::req_id;
+
+// Caps on a "synthetic" submit, which the daemon materializes in memory
+// before the job is queued. The cell cap, 2^24 (16.8M float cells, 64 MiB
+// of feature columns), is about 9x the largest dataset in the benchmark
+// suite (src/data/suite.cpp: covertype, 35,000 rows x 54 features =
+// 1.89M cells), so no request can make the daemon allocate without bound.
+constexpr std::uint64_t kMaxSyntheticCells = std::uint64_t{1} << 24;
+constexpr std::uint64_t kMaxSyntheticFeatures = 4096;
+constexpr std::uint64_t kMaxSyntheticClasses = 256;
 
 Task parse_task(const std::string& name) {
   if (name == "binary") return Task::BinaryClassification;
@@ -144,9 +156,15 @@ std::shared_ptr<const Dataset> SearchService::load_dataset(
   FLAML_REQUIRE(synthetic->is_object(), "\"synthetic\" must be an object");
   SyntheticSpec spec;
   spec.task = parse_task(opt_string(*synthetic, "task", "binary"));
-  spec.n_rows = opt_size(*synthetic, "rows", 600);
-  spec.n_features = static_cast<int>(opt_size(*synthetic, "features", 8));
-  spec.n_classes = static_cast<int>(opt_size(*synthetic, "classes", 2));
+  spec.n_rows = opt_size(*synthetic, "rows", 600, kMaxSyntheticCells);
+  const std::size_t features =
+      opt_size(*synthetic, "features", 8, kMaxSyntheticFeatures);
+  FLAML_REQUIRE(spec.n_rows * features <= kMaxSyntheticCells,
+                "synthetic rows x features must be <= " << kMaxSyntheticCells
+                    << ", got " << spec.n_rows << " x " << features);
+  spec.n_features = static_cast<int>(features);
+  spec.n_classes =
+      static_cast<int>(opt_size(*synthetic, "classes", 2, kMaxSyntheticClasses));
   spec.seed = opt_size(*synthetic, "seed", 1);
   return dataset_cache_.load_synthetic(spec);
 }
@@ -170,8 +188,9 @@ JsonValue SearchService::op_submit(const JsonValue& request) {
 
   JobOptions job_options;
   job_options.name = opt_string(request, "name", "");
-  job_options.priority =
-      static_cast<int>(opt_number(request, "priority", 0.0));
+  job_options.priority = static_cast<int>(
+      opt_int(request, "priority", 0, std::numeric_limits<int>::min(),
+              std::numeric_limits<int>::max()));
   job_options.quantum_trials = opt_size(request, "quantum_trials", 8);
   job_options.deadline_seconds = opt_number(request, "deadline_seconds", 0.0);
 

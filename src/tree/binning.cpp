@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 
@@ -73,40 +74,63 @@ BinMapper BinMapper::fit(const DataView& view, int max_bin) {
   return mapper;
 }
 
-std::size_t BinnedSubstrate::bytes() const {
-  return binned.n_rows() * binned.n_features() * sizeof(std::uint16_t) +
-         packed.bytes();
+namespace {
+
+// Encode every cell of `view` into the row-major plane `codes`, feature by
+// feature (one mapper feature's edges stay hot across its column). Returns
+// false at the first code that does not fit `Code`.
+template <class Code>
+bool encode_rows(const std::vector<FeatureBins>& features, const DataView& view,
+                 std::vector<Code>& codes) {
+  const std::size_t n_features = features.size();
+  codes.resize(view.n_rows() * n_features);
+  for (std::size_t f = 0; f < n_features; ++f) {
+    const FeatureBins& fb = features[f];
+    Code* dst = codes.data() + f;
+    for (std::size_t i = 0; i < view.n_rows(); ++i) {
+      const int code = fb.bin_for(view.value(i, f));
+      if (code > std::numeric_limits<Code>::max()) return false;
+      dst[i * n_features] = static_cast<Code>(code);
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+PackedBins BinMapper::encode_packed(const DataView& view) const {
+  FLAML_REQUIRE(view.n_cols() == features_.size(), "schema mismatch in encode");
+  PackedBins out;
+  out.n_rows_ = view.n_rows();
+  out.n_features_ = features_.size();
+  if (encode_rows(features_, view, out.codes8_)) return out;
+  // Some code exceeds a byte (max_bin > 255 or a wide categorical): start
+  // over at 16 bits. The byte pass stopped at the first such code, which
+  // evenly spread quantile bins put near the top of that feature's column.
+  out.codes8_ = {};
+  out.wide_ = true;
+  const bool fits = encode_rows(features_, view, out.codes16_);
+  FLAML_REQUIRE(fits, "bin code exceeds 16 bits (categorical cardinality > 65535)");
+  return out;
 }
 
 BinnedSubstrate build_substrate(const DataView& view, int max_bin) {
   BinnedSubstrate substrate;
   substrate.mapper = BinMapper::fit(view, max_bin);
-  substrate.binned = substrate.mapper.encode(view);
-  // With the default max_bin = 255 every code fits a byte, so the packed
-  // copy costs half the column matrix — and each trainer that shares this
-  // substrate skips its own per-grower pack.
-  substrate.packed = PackedBins::pack(substrate.binned);
+  substrate.packed = substrate.mapper.encode_packed(view);
   substrate.max_bin = max_bin;
   return substrate;
 }
 
-BinnedView::BinnedView(const BinnedMatrix& matrix, std::size_t n_rows)
-    : matrix_(&matrix), n_rows_(n_rows) {
-  FLAML_REQUIRE(n_rows <= matrix.n_rows(),
-                "BinnedView of " << n_rows << " rows over a " << matrix.n_rows()
-                                 << "-row matrix");
-}
-
-BinnedMatrix BinnedView::materialize() const {
-  FLAML_REQUIRE(matrix_ != nullptr, "materialize() on an empty BinnedView");
-  BinnedMatrix out(n_rows_, matrix_->n_features());
-  for (std::size_t f = 0; f < matrix_->n_features(); ++f) {
-    const auto& src = matrix_->feature(f);
-    auto& dst = out.feature(f);
-    std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n_rows_),
-              dst.begin());
+std::shared_ptr<const BinnedSubstrate> acquire_substrate(
+    const SubstrateProvider& provider, const DataView& view, int max_bin) {
+  std::shared_ptr<const BinnedSubstrate> shared =
+      provider ? provider(max_bin) : nullptr;
+  if (shared != nullptr && shared->max_bin == max_bin &&
+      shared->packed.n_rows() == view.n_rows()) {
+    return shared;
   }
-  return out;
+  return std::make_shared<const BinnedSubstrate>(build_substrate(view, max_bin));
 }
 
 BinnedMatrix BinMapper::encode(const DataView& view) const {

@@ -34,7 +34,10 @@ struct FeatureBins {
   float threshold_for(int bin) const;
 };
 
-// Column-major binned matrix; bins_[feature][row].
+// Column-major binned matrix; bins_[feature][row]. Test oracle only:
+// training reads PackedBins (encode_packed); this layout and encode() are
+// the independent reference the packed encoder and the scalar histogram
+// builds (src/tree/histogram.h) are checked against.
 class BinnedMatrix {
  public:
   BinnedMatrix() = default;
@@ -61,61 +64,39 @@ class BinMapper {
   std::size_t n_features() const { return features_.size(); }
   const FeatureBins& feature(std::size_t f) const { return features_[f]; }
 
-  // Encode the rows of `view` (same dataset schema as the fitted one).
+  // Encode the rows of `view` (same dataset schema as the fitted one) into
+  // the row-major training layout. Row-independent: the first n rows of
+  // encode_packed(view) equal encode_packed(view.prefix(n)).
+  PackedBins encode_packed(const DataView& view) const;
+
+  // Test oracle: the same codes in the column-major BinnedMatrix.
   BinnedMatrix encode(const DataView& view) const;
 
  private:
   std::vector<FeatureBins> features_;
 };
 
-// A fitted BinMapper together with the matrix it encoded, over one exact
-// row set. Trainers keep raw references into `mapper`/`binned` for the
-// duration of a fit, so shared substrates travel as
-// shared_ptr<const BinnedSubstrate> and are immutable once built.
+// A fitted BinMapper together with the packed codes of one exact row set.
+// Trainers keep raw references into `mapper`/`packed` for the duration of
+// a fit, so shared substrates travel as shared_ptr<const BinnedSubstrate>
+// and are immutable once built.
 struct BinnedSubstrate {
   BinMapper mapper;
-  BinnedMatrix binned;
-  // Row-major width-minimal layout of `binned` for the histogram kernels
-  // (src/tree/histogram.h); always built by build_substrate().
   PackedBins packed;
+  // Always empty: production never builds the column layout. The member
+  // exists only because bench/e2e/search.cpp (tree_probes), which must
+  // compile unedited, reads it — it packs `binned` when `packed` is empty
+  // and hands it to the scalar histogram builds, neither of which happens.
+  BinnedMatrix binned;
   int max_bin = 0;  // the fit() parameter, for compatibility checks
 
-  // Heap footprint of the encoded matrix + packed layout (cache accounting).
-  std::size_t bytes() const;
+  // Heap footprint of the packed codes (cache accounting).
+  std::size_t bytes() const { return packed.bytes(); }
 };
 
-// Fit + encode over exactly the rows of `view`. Byte-identical to what a
-// trainer builds internally for the same view and max_bin — the invariant
-// the cross-trial substrate cache (src/automl/substrate_cache.h) relies on.
+// Fit + encode_packed over exactly the rows of `view` — the invariant the
+// cross-trial substrate cache (src/automl/substrate_cache.h) relies on.
 BinnedSubstrate build_substrate(const DataView& view, int max_bin);
-
-// Row-prefix window into an encoded matrix; valid while the matrix lives.
-// encode() is row-independent under a FIXED mapper, so the window over the
-// first n rows equals encoding those rows directly with that mapper (pinned
-// by the property suite in tests/test_substrate_cache.cpp). Fitting a NEW
-// mapper on the prefix is a different operation — bin edges depend on the
-// rows seen — which is why the cache stores per-exact-row-set substrates
-// instead of slicing one full-size fit.
-class BinnedView {
- public:
-  BinnedView() = default;
-  BinnedView(const BinnedMatrix& matrix, std::size_t n_rows);
-
-  std::size_t n_rows() const { return n_rows_; }
-  std::size_t n_features() const {
-    return matrix_ == nullptr ? 0 : matrix_->n_features();
-  }
-  std::uint16_t bin(std::size_t row, std::size_t f) const {
-    return matrix_->bin(row, f);
-  }
-
-  // Copy the window into a standalone matrix.
-  BinnedMatrix materialize() const;
-
- private:
-  const BinnedMatrix* matrix_ = nullptr;
-  std::size_t n_rows_ = 0;
-};
 
 // Handed to trainers through TrainContext / trainer params: returns a
 // shared substrate for EXACTLY the trainer's training rows at the given
@@ -123,5 +104,12 @@ class BinnedView {
 // from concurrent trials.
 using SubstrateProvider =
     std::function<std::shared_ptr<const BinnedSubstrate>(int max_bin)>;
+
+// The substrate a trainer fits on: the provider's shared one when it has
+// one for exactly `view`'s rows at `max_bin`, else a fresh
+// build_substrate(view, max_bin). Both are byte-identical by construction,
+// so the provider can never change the model.
+std::shared_ptr<const BinnedSubstrate> acquire_substrate(
+    const SubstrateProvider& provider, const DataView& view, int max_bin);
 
 }  // namespace flaml

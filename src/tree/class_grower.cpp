@@ -241,9 +241,9 @@ class ClassPolicy {
 
 }  // namespace
 
-ClassTreeGrower::ClassTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
-                                 int n_classes, const PackedBins* packed)
-    : mapper_(&mapper), binned_(&binned), n_classes_(n_classes), packed_(binned, packed) {
+ClassTreeGrower::ClassTreeGrower(const BinMapper& mapper, const PackedBins& packed,
+                                 int n_classes)
+    : mapper_(&mapper), packed_(&packed), n_classes_(n_classes) {
   FLAML_REQUIRE(n_classes >= 2, "classification tree needs >= 2 classes");
 }
 
@@ -259,11 +259,11 @@ Tree ClassTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                            const std::vector<double>& weights,
                            const ClassGrowerParams& params, Rng& rng) const {
   FLAML_REQUIRE(!rows.empty(), "cannot grow a tree on zero rows");
-  FLAML_REQUIRE(labels.size() == binned_->n_rows(),
+  FLAML_REQUIRE(labels.size() == packed_->n_rows(),
                 "labels must cover all binned rows");
-  FLAML_REQUIRE(weights.empty() || weights.size() == binned_->n_rows(),
+  FLAML_REQUIRE(weights.empty() || weights.size() == packed_->n_rows(),
                 "weights must cover all binned rows");
-  GrowState state(*mapper_, *binned_, packed_.get(), rows, params.n_threads, rng);
+  GrowState state(*mapper_, *packed_, rows, params.n_threads, rng);
   ClassPolicy policy(state, n_classes_, labels, weights, params);
   return treegrow::grow_leaf_wise(
       state, policy, {params.max_leaves, params.max_depth, params.min_gain});

@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "tree/binning.h"
-#include "tree/packed_bins.h"
 #include "tree/tree.h"
 
 namespace flaml {
@@ -37,12 +36,11 @@ struct ClassGrowerParams {
 
 class ClassTreeGrower {
  public:
-  // `packed` optionally shares a pre-built row-major layout of the SAME
-  // matrix; when null the grower packs `binned` itself once on first use.
-  ClassTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
-                  int n_classes, const PackedBins* packed = nullptr);
+  // `mapper`/`packed` describe the training rows; both must outlive the
+  // grower.
+  ClassTreeGrower(const BinMapper& mapper, const PackedBins& packed, int n_classes);
 
-  // Grow one tree on `rows` (positions into the binned matrix);
+  // Grow one tree on `rows` (positions into the packed codes);
   // `labels[pos]` is the class id of position pos.
   Tree grow(const std::vector<std::uint32_t>& rows, const std::vector<int>& labels,
             const ClassGrowerParams& params, Rng& rng) const;
@@ -55,9 +53,8 @@ class ClassTreeGrower {
 
  private:
   const BinMapper* mapper_;
-  const BinnedMatrix* binned_;
+  const PackedBins* packed_;
   int n_classes_;
-  LazyPackedBins packed_;
 };
 
 }  // namespace flaml

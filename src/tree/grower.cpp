@@ -301,9 +301,8 @@ Tree grow_oblivious(GrowState& s, GradientPolicy& p, const GrowerParams& params)
 }  // namespace
 
 GradientTreeGrower::GradientTreeGrower(const BinMapper& mapper,
-                                       const BinnedMatrix& binned,
-                                       const PackedBins* packed)
-    : mapper_(&mapper), binned_(&binned), packed_(binned, packed) {}
+                                       const PackedBins& packed)
+    : mapper_(&mapper), packed_(&packed) {}
 
 Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                               const std::vector<double>& grad,
@@ -312,9 +311,9 @@ Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                               const GrowerParams& params, Rng& rng) const {
   FLAML_REQUIRE(!rows.empty(), "cannot grow a tree on zero rows");
   FLAML_REQUIRE(!features.empty(), "cannot grow a tree with zero features");
-  FLAML_REQUIRE(grad.size() == binned_->n_rows() && hess.size() == binned_->n_rows(),
+  FLAML_REQUIRE(grad.size() == packed_->n_rows() && hess.size() == packed_->n_rows(),
                 "gradient arrays must cover all binned rows");
-  GrowState state(*mapper_, *binned_, packed_.get(), rows, params.n_threads, rng);
+  GrowState state(*mapper_, *packed_, rows, params.n_threads, rng);
   GradientPolicy policy(state, grad, hess, features, params);
   if (params.style == TreeStyle::Oblivious) return grow_oblivious(state, policy, params);
   return treegrow::grow_leaf_wise(

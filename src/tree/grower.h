@@ -16,7 +16,6 @@
 
 #include "common/rng.h"
 #include "tree/binning.h"
-#include "tree/packed_bins.h"
 #include "tree/tree.h"
 
 namespace flaml {
@@ -44,15 +43,11 @@ struct GrowerParams {
 
 class GradientTreeGrower {
  public:
-  // `mapper`/`binned` describe the training rows (binned once per training
-  // run); `view` is the matching raw view used only to fetch raw thresholds.
-  // `packed` optionally shares a pre-built row-major layout of the SAME
-  // matrix (e.g. from a cached BinnedSubstrate); when null the grower packs
-  // `binned` itself, once, on first use.
-  GradientTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
-                     const PackedBins* packed = nullptr);
+  // `mapper`/`packed` describe the training rows (binned once per training
+  // run, e.g. a shared BinnedSubstrate); both must outlive the grower.
+  GradientTreeGrower(const BinMapper& mapper, const PackedBins& packed);
 
-  // Grow one tree on `rows` (positions into the binned matrix) with
+  // Grow one tree on `rows` (positions into the packed codes) with
   // per-position gradients/hessians (indexed by position, not by row id).
   // `features` is the per-tree candidate feature subset.
   Tree grow(const std::vector<std::uint32_t>& rows, const std::vector<double>& grad,
@@ -61,8 +56,7 @@ class GradientTreeGrower {
 
  private:
   const BinMapper* mapper_;
-  const BinnedMatrix* binned_;
-  LazyPackedBins packed_;
+  const PackedBins* packed_;
 };
 
 }  // namespace flaml

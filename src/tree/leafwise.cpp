@@ -7,12 +7,10 @@
 namespace flaml {
 namespace treegrow {
 
-GrowState::GrowState(const BinMapper& mapper_in, const BinnedMatrix& binned_in,
-                     const PackedBins& packed_in,
+GrowState::GrowState(const BinMapper& mapper_in, const PackedBins& packed_in,
                      const std::vector<std::uint32_t>& rows, int n_threads_in,
                      Rng& rng_in)
     : mapper(mapper_in),
-      binned(binned_in),
       packed(packed_in),
       kernel(active_hist_kernel()),
       pool(n_threads_in > 1 ? &shared_pool() : nullptr),
@@ -21,6 +19,7 @@ GrowState::GrowState(const BinMapper& mapper_in, const BinnedMatrix& binned_in,
       offsets(histogram_offsets(mapper_in)),
       buffer_(rows) {
   FLAML_CHECK(!buffer_.empty());
+  FLAML_CHECK(packed.n_features() == mapper.n_features());
 }
 
 std::vector<int> GrowState::sample_features(const std::vector<int>& from,
@@ -40,28 +39,34 @@ std::vector<int> GrowState::sample_features(const std::vector<int>& from,
 
 std::size_t GrowState::partition(std::size_t begin, std::size_t count,
                                  const SplitInfo& split) {
-  const auto& col = binned.feature(static_cast<std::size_t>(split.feature));
-  const int missing_bin =
-      mapper.feature(static_cast<std::size_t>(split.feature)).missing_bin();
-  auto goes_left = [&](std::uint32_t pos) {
-    const int b = col[pos];
+  const auto feature = static_cast<std::size_t>(split.feature);
+  const int missing_bin = mapper.feature(feature).missing_bin();
+  auto goes_left = [&](int b) {
     if (split.missing_only) return b != missing_bin;
     if (b == missing_bin) return split.missing_left;
     if (split.categorical) return b == split.bin;
     return b <= split.bin;
   };
-  right_.clear();
-  std::size_t write = begin;
-  for (std::size_t i = begin; i < begin + count; ++i) {
-    if (goes_left(buffer_[i])) {
-      buffer_[write++] = buffer_[i];
-    } else {
-      right_.push_back(buffer_[i]);
+  // One code per row at stride n_features; instantiated per code width so
+  // the width branch stays outside the row loop.
+  auto run = [&](const auto* codes) {
+    codes += feature;
+    const std::size_t stride = packed.n_features();
+    right_.clear();
+    std::size_t write = begin;
+    for (std::size_t i = begin; i < begin + count; ++i) {
+      const std::uint32_t pos = buffer_[i];
+      if (goes_left(codes[pos * stride])) {
+        buffer_[write++] = pos;
+      } else {
+        right_.push_back(pos);
+      }
     }
-  }
-  std::copy(right_.begin(), right_.end(),
-            buffer_.begin() + static_cast<std::ptrdiff_t>(write));
-  return write - begin;
+    std::copy(right_.begin(), right_.end(),
+              buffer_.begin() + static_cast<std::ptrdiff_t>(write));
+    return write - begin;
+  };
+  return packed.wide() ? run(packed.codes16()) : run(packed.codes8());
 }
 
 void GrowState::fill_node(Tree& tree, std::int32_t node, const SplitInfo& split) const {

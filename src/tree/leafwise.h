@@ -79,16 +79,14 @@ struct GrowLimits {
 };
 
 // State of one tree growth shared by the loop and the policies: the
-// training matrix in both layouts, the row buffer partitioned in place,
-// the histogram kernel, and the parallelism and RNG of the call.
+// packed training codes, the row buffer partitioned in place, the
+// histogram kernel, and the parallelism and RNG of the call.
 class GrowState {
  public:
-  GrowState(const BinMapper& mapper, const BinnedMatrix& binned,
-            const PackedBins& packed, const std::vector<std::uint32_t>& rows,
-            int n_threads, Rng& rng);
+  GrowState(const BinMapper& mapper, const PackedBins& packed,
+            const std::vector<std::uint32_t>& rows, int n_threads, Rng& rng);
 
   const BinMapper& mapper;
-  const BinnedMatrix& binned;
   const PackedBins& packed;
   const HistKernel kernel;
   ThreadPool* const pool;  // null = serial growth

@@ -1,37 +1,36 @@
-// Width-minimal, row-major packed bin codes — the memory layout the SIMD
-// histogram kernels (src/tree/hist_kernels.cpp) read.
+// Width-minimal, row-major bin codes — the one layout tree training reads.
 //
-// BinnedMatrix stores one uint16 column per feature, which is the right
-// shape for partitioning (one feature's codes, contiguous) but the wrong
-// shape for histogram building: every feature pass re-gathers the same
-// gradient/hessian entries and streams a full 2-byte column. PackedBins
-// transposes the codes into one contiguous row-major block — codes[row *
-// n_features + f] — and narrows them to uint8 whenever every code fits
-// (max_bin <= 256 after the per-feature missing bin, i.e. virtually always
-// with the default max_bin = 255). The kernels then walk a feature TILE per
-// row: one gradient load is amortized over the whole tile and the tile's
-// codes share a cache line.
+// codes[row * n_features + f] is the bin of (row, f), narrowed to uint8
+// whenever every code fits (always at the default max_bin = 255, unless a
+// categorical feature has more than 255 categories). The histogram kernels
+// (src/tree/hist_kernels.cpp) walk a feature TILE per row: one gradient
+// load is amortized over the whole tile and the tile's codes share a cache
+// line. The row partition reads one code per row at stride n_features.
 //
-// A PackedBins is a pure function of the BinnedMatrix it was packed from
-// (the width is chosen from the actual maximum code, so the layout is
-// deterministic and machine-independent) and is immutable after pack() —
-// concurrent trials share one instance through the SubstrateCache with no
-// synchronization.
+// BinMapper::encode_packed (src/tree/binning.h) encodes a view straight
+// into this layout. pack() builds the same layout from the column-major
+// BinnedMatrix; it exists only as the test oracle for that encoder.
+//
+// A PackedBins is a pure function of the rows it encodes (the width is
+// chosen from the actual maximum code, so the layout is deterministic and
+// machine-independent) and is immutable once built — concurrent trials
+// share one instance through the SubstrateCache with no synchronization.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace flaml {
 
+class BinMapper;
 class BinnedMatrix;
 
 class PackedBins {
  public:
   PackedBins() = default;
 
-  // Transpose + narrow `binned` (scans the codes once to pick the width).
+  // Test oracle: transpose + narrow `binned` (scans the codes once to pick
+  // the width).
   static PackedBins pack(const BinnedMatrix& binned);
 
   bool empty() const { return n_rows_ == 0 || n_features_ == 0; }
@@ -56,28 +55,13 @@ class PackedBins {
   }
 
  private:
+  friend class BinMapper;  // encode_packed fills the planes directly
+
   std::size_t n_rows_ = 0;
   std::size_t n_features_ = 0;
   bool wide_ = false;
   std::vector<std::uint8_t> codes8_;
   std::vector<std::uint16_t> codes16_;
-};
-
-// The packed layout a tree grower reads: borrowed from a shared substrate
-// when one is given, else packed from `binned` once, on first use. get() is
-// thread-safe (forests grow trees concurrently from one grower).
-class LazyPackedBins {
- public:
-  // `shared` must describe the same matrix as `binned` (FLAML_REQUIRE).
-  LazyPackedBins(const BinnedMatrix& binned, const PackedBins* shared);
-
-  const PackedBins& get() const;
-
- private:
-  const BinnedMatrix* binned_;
-  const PackedBins* shared_;
-  mutable std::once_flag once_;
-  mutable PackedBins owned_;
 };
 
 }  // namespace flaml

@@ -37,16 +37,19 @@ void expect_substrates_identical(const BinnedSubstrate& a,
                                  const BinnedSubstrate& b,
                                  const std::string& what) {
   ASSERT_EQ(a.max_bin, b.max_bin) << what;
-  ASSERT_EQ(a.binned.n_rows(), b.binned.n_rows()) << what;
-  ASSERT_EQ(a.binned.n_features(), b.binned.n_features()) << what;
+  ASSERT_EQ(a.packed.n_rows(), b.packed.n_rows()) << what;
+  ASSERT_EQ(a.packed.n_features(), b.packed.n_features()) << what;
+  ASSERT_EQ(a.packed.wide(), b.packed.wide()) << what;
   ASSERT_EQ(a.mapper.n_features(), b.mapper.n_features()) << what;
-  for (std::size_t f = 0; f < a.binned.n_features(); ++f) {
+  for (std::size_t f = 0; f < a.packed.n_features(); ++f) {
     EXPECT_EQ(a.mapper.feature(f).n_value_bins, b.mapper.feature(f).n_value_bins)
         << what << " feature " << f;
     EXPECT_EQ(a.mapper.feature(f).edges, b.mapper.feature(f).edges)
         << what << " feature " << f;
-    ASSERT_EQ(a.binned.feature(f), b.binned.feature(f))
-        << what << " feature " << f;
+    for (std::size_t r = 0; r < a.packed.n_rows(); ++r) {
+      ASSERT_EQ(a.packed.bin(r, f), b.packed.bin(r, f))
+          << what << " row " << r << " feature " << f;
+    }
   }
 }
 

@@ -13,7 +13,7 @@ struct ClassFixture {
   explicit ClassFixture(const Dataset& data)
       : view(data),
         mapper(BinMapper::fit(view, 255)),
-        binned(mapper.encode(view)),
+        packed(mapper.encode_packed(view)),
         labels(view.n_rows()) {
     for (std::size_t i = 0; i < view.n_rows(); ++i) {
       labels[i] = static_cast<int>(view.label(i));
@@ -23,14 +23,14 @@ struct ClassFixture {
   Tree fit(ClassGrowerParams params, int n_classes, std::uint64_t seed = 1) {
     std::vector<std::uint32_t> rows(view.n_rows());
     std::iota(rows.begin(), rows.end(), 0u);
-    ClassTreeGrower grower(mapper, binned, n_classes);
+    ClassTreeGrower grower(mapper, packed, n_classes);
     Rng rng(seed);
     return grower.grow(rows, labels, params, rng);
   }
 
   DataView view;
   BinMapper mapper;
-  BinnedMatrix binned;
+  PackedBins packed;
   std::vector<int> labels;
 };
 
@@ -248,7 +248,7 @@ TEST(ClassGrower, SmallLeafOnlyTreeUsesCompactPath) {
 TEST(ClassGrower, RejectsSingleClassConstruction) {
   Dataset data = separable_binary();
   ClassFixture fx(data);
-  EXPECT_THROW(ClassTreeGrower(fx.mapper, fx.binned, 1), InvalidArgument);
+  EXPECT_THROW(ClassTreeGrower(fx.mapper, fx.packed, 1), InvalidArgument);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@ namespace {
 // reduction).
 struct Fixture {
   explicit Fixture(const Dataset& data, int max_bin = 255)
-      : view(data), mapper(BinMapper::fit(view, max_bin)), binned(mapper.encode(view)) {}
+      : view(data),
+        mapper(BinMapper::fit(view, max_bin)),
+        packed(mapper.encode_packed(view)) {}
 
   Tree fit(const std::vector<double>& y, GrowerParams params, std::uint64_t seed = 1) {
     std::vector<std::uint32_t> rows(view.n_rows());
@@ -27,14 +29,14 @@ struct Fixture {
     std::iota(features.begin(), features.end(), 0);
     params.reg_lambda = 1e-9;
     params.min_child_weight = 0.0;
-    GradientTreeGrower grower(mapper, binned);
+    GradientTreeGrower grower(mapper, packed);
     Rng rng(seed);
     return grower.grow(rows, grad, hess, features, params, rng);
   }
 
   DataView view;
   BinMapper mapper;
-  BinnedMatrix binned;
+  PackedBins packed;
 };
 
 Dataset step_data() {
@@ -250,7 +252,7 @@ TEST(GradientGrower, PureTargetsYieldSingleLeaf) {
 TEST(GradientGrower, RejectsEmptyRows) {
   Dataset data = step_data();
   Fixture fx(data);
-  GradientTreeGrower grower(fx.mapper, fx.binned);
+  GradientTreeGrower grower(fx.mapper, fx.packed);
   std::vector<double> grad(data.n_rows(), 0.0), hess(data.n_rows(), 1.0);
   std::vector<int> features{0};
   GrowerParams params;

@@ -68,12 +68,12 @@ class Digest {
 struct Fixture {
   Dataset data;
   BinMapper mapper;
-  BinnedMatrix binned;
+  PackedBins packed;
 
   explicit Fixture(Dataset d)
       : data(std::move(d)),
         mapper(BinMapper::fit(DataView(data), 255)),
-        binned(mapper.encode(DataView(data))) {}
+        packed(mapper.encode_packed(DataView(data))) {}
 };
 
 Fixture regression_fixture() {
@@ -136,7 +136,7 @@ std::uint64_t grad_digest(const Fixture& fx, GradCase c, int n_threads) {
     features.erase(features.begin() + 4);
   }
   c.params.n_threads = n_threads;
-  GradientTreeGrower grower(fx.mapper, fx.binned);
+  GradientTreeGrower grower(fx.mapper, fx.packed);
   std::vector<double> pred(n, 0.0), grad(n), hess(n);
   Rng rng(99);
   Digest d;
@@ -180,7 +180,7 @@ std::uint64_t class_digest(const Fixture& fx, ClassCase c, int n_threads) {
     for (double& w : weights) w = wrng.uniform(0.2, 3.0);
   }
   c.params.n_threads = n_threads;
-  ClassTreeGrower grower(fx.mapper, fx.binned, c.n_classes);
+  ClassTreeGrower grower(fx.mapper, fx.packed, c.n_classes);
   Rng rng(123);
   Digest d;
   for (int t = 0; t < 3; ++t) {

@@ -36,12 +36,12 @@ std::string tree_string(const Tree& tree) {
 struct BinnedFixture {
   Dataset data;
   BinMapper mapper;
-  BinnedMatrix binned;
+  PackedBins packed;
 
   explicit BinnedFixture(Dataset d, int max_bin = 255)
       : data(std::move(d)),
         mapper(BinMapper::fit(DataView(data), max_bin)),
-        binned(mapper.encode(DataView(data))) {}
+        packed(mapper.encode_packed(DataView(data))) {}
 };
 
 Dataset random_regression_data(Rng& rng) {
@@ -95,7 +95,7 @@ FLAML_PROP(ParallelGrowerProp, LeafWiseTreeBitIdentical, 8) {
   params.style = TreeStyle::LeafWise;
   const std::uint64_t seed = prop.rng.next();
 
-  GradientTreeGrower grower(fx.mapper, fx.binned);
+  GradientTreeGrower grower(fx.mapper, fx.packed);
   Rng serial_rng(seed);
   const std::string serial =
       tree_string(grower.grow(rows, grad, hess, features, params, serial_rng));
@@ -125,7 +125,7 @@ FLAML_PROP(ParallelGrowerProp, ObliviousTreeBitIdentical, 8) {
   params.oblivious_depth = 3 + static_cast<int>(prop.rng.uniform_index(4));
   const std::uint64_t seed = prop.rng.next();
 
-  GradientTreeGrower grower(fx.mapper, fx.binned);
+  GradientTreeGrower grower(fx.mapper, fx.packed);
   Rng serial_rng(seed);
   const std::string serial =
       tree_string(grower.grow(rows, grad, hess, features, params, serial_rng));
@@ -163,7 +163,7 @@ FLAML_PROP(ParallelGrowerProp, ClassTreeBitIdentical, 8) {
   params.extra_random = prop.rng.bernoulli(0.4);
   const std::uint64_t seed = prop.rng.next();
 
-  ClassTreeGrower grower(fx.mapper, fx.binned, n_classes);
+  ClassTreeGrower grower(fx.mapper, fx.packed, n_classes);
   Rng serial_rng(seed);
   const std::string serial =
       tree_string(grower.grow(rows, labels, weights, params, serial_rng));

@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/line_server.h"
 #include "server/service.h"
@@ -578,6 +579,62 @@ TEST(SearchService, RejectsFractionalAndOversizedIntegerFields) {
           "budget_seconds":1000000,"max_iterations":2,"seed":2.0})"));
   EXPECT_TRUE(response.at("ok").boolean) << dump_json_compact(response);
   service.handle(request_of(R"({"op":"wait_all"})"));
+}
+
+// Regression: "features"/"classes" were static_cast to int (4294967298
+// became 2) and "priority" went through an out-of-range double -> int cast
+// (undefined behaviour). UBSan cannot catch the latter under GCC, so the
+// typed reply is what is asserted.
+TEST(SearchService, RejectsOutOfRangeSyntheticShapeAndPriority) {
+  SearchDaemon daemon({/*slots=*/1, /*trace_capacity=*/512});
+  SearchService service(daemon);
+  service.set_customize(stub_customize());
+
+  const std::pair<const char*, const char*> bad_requests[] = {
+      {R"({"op":"submit","synthetic":{"rows":100,"features":4294967298}})",
+       "features"},
+      {R"({"op":"submit","synthetic":{"rows":100,"features":4097}})", "features"},
+      {R"({"op":"submit","synthetic":{"rows":100,"features":2.5}})", "features"},
+      {R"({"op":"submit","synthetic":{"rows":100,"classes":4294967298}})",
+       "classes"},
+      {R"({"op":"submit","synthetic":{"rows":100,"classes":257}})", "classes"},
+      {R"({"op":"submit","synthetic":{"rows":100,"classes":-2}})", "classes"},
+      {R"({"op":"submit","synthetic":{"rows":3000000,"features":8}})",
+       "rows x features"},
+      {R"({"op":"submit","synthetic":{"rows":1e300}})", "rows"},
+      {R"({"op":"submit","synthetic":{"rows":100},"priority":1e300})", "priority"},
+      {R"({"op":"submit","synthetic":{"rows":100},"priority":-1e300})", "priority"},
+      {R"({"op":"submit","synthetic":{"rows":100},"priority":2147483648})",
+       "priority"},
+      {R"({"op":"submit","synthetic":{"rows":100},"priority":-2147483649})",
+       "priority"},
+      {R"({"op":"submit","synthetic":{"rows":100},"priority":1.5})", "priority"},
+  };
+  for (const auto& [text, field] : bad_requests) {
+    const JsonValue response = service.handle(request_of(text));
+    EXPECT_FALSE(response.at("ok").boolean) << text;
+    EXPECT_NE(response.at("error").str.find(field), std::string::npos)
+        << text << " -> " << response.at("error").str;
+  }
+  EXPECT_EQ(service.handle(request_of(R"({"op":"list"})")).at("jobs").array.size(),
+            0u);
+
+  // In-range values, the int extremes of "priority" included, still submit.
+  for (const char* text : {
+           R"({"op":"submit","synthetic":{"task":"multiclass","rows":100,
+               "features":5,"classes":3,"seed":3},"max_iterations":2,
+               "priority":-2147483648})",
+           R"({"op":"submit","synthetic":{"rows":100,"features":5,"seed":3},
+               "max_iterations":2,"priority":2147483647})",
+           R"({"op":"submit","synthetic":{"rows":100,"features":5,"seed":3},
+               "max_iterations":2,"priority":-3})"}) {
+    const JsonValue response = service.handle(request_of(text));
+    EXPECT_TRUE(response.at("ok").boolean) << dump_json_compact(response);
+  }
+  const JsonValue jobs = service.handle(request_of(R"({"op":"wait_all"})"));
+  ASSERT_EQ(jobs.at("jobs").array.size(), 3u);
+  EXPECT_DOUBLE_EQ(jobs.at("jobs").array[0].at("priority").number, -2147483648.0);
+  EXPECT_DOUBLE_EQ(jobs.at("jobs").array[1].at("priority").number, 2147483647.0);
 }
 
 // --- dataset cache (regression: stale entries, unbounded growth) -----------

@@ -31,12 +31,16 @@ Dataset binary_data(std::size_t n = 300, std::uint64_t seed = 11) {
   return make_classification(spec);
 }
 
-void expect_matrices_equal(const BinnedMatrix& a, const BinnedMatrix& b,
-                           const std::string& what) {
+void expect_packed_equal(const PackedBins& a, const PackedBins& b,
+                         const std::string& what) {
   ASSERT_EQ(a.n_rows(), b.n_rows()) << what;
   ASSERT_EQ(a.n_features(), b.n_features()) << what;
-  for (std::size_t f = 0; f < a.n_features(); ++f) {
-    EXPECT_EQ(a.feature(f), b.feature(f)) << what << " feature " << f;
+  ASSERT_EQ(a.wide(), b.wide()) << what;
+  for (std::size_t r = 0; r < a.n_rows(); ++r) {
+    for (std::size_t f = 0; f < a.n_features(); ++f) {
+      ASSERT_EQ(a.bin(r, f), b.bin(r, f))
+          << what << " row " << r << " feature " << f;
+    }
   }
 }
 
@@ -50,7 +54,7 @@ void expect_substrates_equal(const BinnedSubstrate& a, const BinnedSubstrate& b,
     EXPECT_EQ(fa.n_value_bins, fb.n_value_bins) << what << " feature " << f;
     EXPECT_EQ(fa.edges, fb.edges) << what << " feature " << f;
   }
-  expect_matrices_equal(a.binned, b.binned, what);
+  expect_packed_equal(a.packed, b.packed, what);
 }
 
 TEST(SubstrateCache, PrefixMatchesFreshBuildExactly) {
@@ -84,12 +88,12 @@ TEST(SubstrateCache, HitMissAndBytesCounters) {
   const SubstrateCache::Counters c = cache.counters();
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.misses, 3u);
-  // 3 substrates of 100/100/50 rows × 5 features: 2-byte columns, plus the
-  // 1-byte packed row-major plane (all codes ≤ 255 here).
-  const std::size_t cells = (100 + 100 + 50) * 5;
-  const std::size_t expected_bytes =
-      cells * sizeof(std::uint16_t) + cells * sizeof(std::uint8_t);
-  EXPECT_EQ(c.bytes, expected_bytes);
+  // 3 substrates of 100/100/50 rows × 5 features, each exactly one byte
+  // per cell: the packed codes are the whole substrate, and every code is
+  // ≤ 255 at these bin budgets.
+  EXPECT_EQ(c.bytes, (100u + 100u + 50u) * 5u);
+  EXPECT_EQ(a->bytes(), 100u * 5u);
+  EXPECT_EQ(a->binned.n_rows(), 0u);  // no column layout is built
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.hits"), 1.0);
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.misses"), 3.0);
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.bytes"),
@@ -309,35 +313,6 @@ FLAML_PROP(SubstrateCacheProp, CachedEqualsFreshOnSameRows, 25) {
         *fold_sub,
         build_substrate(fresh[static_cast<std::size_t>(f)].train, max_bin),
         "fold");
-  }
-}
-
-// Under a FIXED mapper, a BinnedView window over the first n rows equals
-// encoding those rows directly — encode() is row-independent. (This is why
-// the window type is safe as a test/bench utility, and why the cache must
-// NOT serve slices of a full-size FIT, whose edges depend on the rows seen.)
-FLAML_PROP(SubstrateCacheProp, BinnedViewSliceEqualsDirectEncode, 25) {
-  SyntheticSpec spec;
-  spec.task = Task::Regression;
-  spec.n_rows = 20 + prop.rng.uniform_index(120);
-  spec.n_features = 1 + static_cast<int>(prop.rng.uniform_index(5));
-  spec.missing_fraction = prop.rng.uniform() < 0.3 ? 0.1 : 0.0;
-  spec.seed = prop.seed;
-  Dataset data = make_synthetic(spec);
-  DataView view(data);
-  const int max_bin = 2 + static_cast<int>(prop.rng.uniform_index(100));
-  BinMapper mapper = BinMapper::fit(view, max_bin);
-  BinnedMatrix full = mapper.encode(view);
-
-  const std::size_t n = 1 + prop.rng.uniform_index(view.n_rows());
-  BinnedView window(full, n);
-  ASSERT_EQ(window.n_rows(), n);
-  BinnedMatrix direct = mapper.encode(view.prefix(n));
-  expect_matrices_equal(window.materialize(), direct, "slice");
-  for (std::size_t f = 0; f < direct.n_features(); ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(window.bin(i, f), direct.bin(i, f));
-    }
   }
 }
 

@@ -81,6 +81,31 @@ TEST(Wire, OptSizeRejectsWrongType) {
   EXPECT_THROW(wire::opt_size(obj(R"({"n":true})"), "n", 0), InvalidArgument);
 }
 
+TEST(Wire, OptIntAcceptsSignedIntegersInRange) {
+  EXPECT_EQ(wire::opt_int(obj(R"({"p":-7})"), "p", 1, -10, 10), -7);
+  EXPECT_EQ(wire::opt_int(obj(R"({"p":10})"), "p", 1, -10, 10), 10);
+  EXPECT_EQ(wire::opt_int(obj(R"({"p":-10.0})"), "p", 1, -10, 10), -10);
+  EXPECT_EQ(wire::opt_int(obj(R"({})"), "p", 1, -10, 10), 1);  // fallback
+}
+
+TEST(Wire, OptIntRejectsFractionalOutOfRangeAndNonFinite) {
+  // The search daemon used to static_cast "priority" straight to int:
+  // 1e300 was undefined behaviour, not an error.
+  for (const char* text : {R"({"p":1e300})", R"({"p":-1e300})", R"({"p":11})",
+                           R"({"p":-11})", R"({"p":0.5})", R"({"p":"1"})"}) {
+    EXPECT_THROW(wire::opt_int(obj(text), "p", 0, -10, 10), InvalidArgument) << text;
+  }
+  JsonValue bad = JsonValue::make_number(0.0);
+  JsonValue request = JsonValue::make_object();
+  for (double n : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    bad.number = n;
+    request.set("p", bad);
+    EXPECT_THROW(wire::opt_int(request, "p", 0, -10, 10), InvalidArgument) << n;
+  }
+}
+
 TEST(Wire, ReqIdRequiresPositiveIntegral) {
   EXPECT_EQ(wire::req_id(obj(R"({"id":1})")), 1u);
   EXPECT_EQ(wire::req_id(obj(R"({"id":12345})")), 12345u);
