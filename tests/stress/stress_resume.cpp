@@ -156,8 +156,11 @@ FLAML_PROP(ResumeStress, ParallelKillAnywhereReplayMatchesUninterrupted, 3) {
 
 // Round-robin ablation: with the policy-level randomness removed, the
 // parallel checkpoint/resume path must also preserve the parallel==serial
-// history identity end to end.
-FLAML_PROP(ResumeStress, RoundRobinParallelResumeKeepsSerialIdentity, 2) {
+// history identity end to end. The search is killed at n_parallel = 4 and
+// resumed at `resume_parallel` slots.
+void expect_round_robin_resume_is_serial(PropCase& prop,
+                                         int resume_parallel,
+                                         const std::string& tag) {
   const Dataset data = resume_tiny_binary(prop.seed | 1);
   AutoMLOptions options = resume_options(prop.rng.next(), 12);
   options.learner_choice = LearnerChoice::RoundRobin;
@@ -168,17 +171,32 @@ FLAML_PROP(ResumeStress, RoundRobinParallelResumeKeepsSerialIdentity, 2) {
 
   AutoMLOptions par_options = options;
   par_options.n_parallel = 4;
-  const std::string path = unique_path(prop, "rr");
+  const std::string path = unique_path(prop, tag);
   AutoML killed;
   run_killed_fit(killed, data, par_options, path, 6);
   if (::testing::Test::HasFatalFailure()) return;
 
+  AutoMLOptions resume_with = options;
+  resume_with.n_parallel = resume_parallel;
   AutoML resumed;
   add_resume_lineup(resumed);
-  resumed.resume_from_file(data, par_options, path);
-  testing::expect_resume_histories_equal(resumed.history(), serial.history(),
-                                         "round-robin resumed parallel vs serial");
+  resumed.resume_from_file(data, resume_with, path);
+  testing::expect_resume_histories_equal(
+      resumed.history(), serial.history(),
+      "round-robin parallel checkpoint resumed at n_parallel=" +
+          std::to_string(resume_parallel) + " vs serial");
   std::remove(path.c_str());
+}
+
+FLAML_PROP(ResumeStress, RoundRobinParallelResumeKeepsSerialIdentity, 2) {
+  expect_round_robin_resume_is_serial(prop, 4, "rr");
+}
+
+// The in-flight trials of a 4-slot checkpoint, replayed by a one-slot
+// resume: they must commit in launch order exactly as the parallel run
+// would have.
+FLAML_PROP(ResumeStress, RoundRobinParallelCheckpointResumesAtOneSlot, 2) {
+  expect_round_robin_resume_is_serial(prop, 1, "rr1");
 }
 
 // --- Corrupt-checkpoint fuzz: damage must always be a typed error ---

@@ -137,19 +137,21 @@ void expect_cache_transparent(ResamplingPolicy resampling,
 // kernel-only change is a bit-identity bug — never re-pin around it. Re-pin
 // only for intentional changes to the search loop or the tree learners.
 
-std::uint64_t real_search_digest(std::size_t n_parallel) {
+std::uint64_t real_search_digest(ResamplingPolicy resampling,
+                                 std::size_t n_parallel) {
   const Dataset data = resume_tiny_binary(2024);
   AutoML automl;
-  automl.fit(data, real_options(false, ResamplingPolicy::ForceHoldout,
-                                n_parallel));
+  automl.fit(data, real_options(false, resampling, n_parallel));
   EXPECT_FALSE(automl.history().empty());
   return history_digest(automl.history());
 }
 
-// Pinned digests of the seed-7 real-learner holdout search, one per
-// n_parallel.
+// Pinned digests of the seed-7 real-learner searches, one per resampling
+// policy and n_parallel.
 constexpr std::uint64_t kRealSerialDigest = 0x4761dfa18c7e2d32ULL;
 constexpr std::uint64_t kRealParallelDigest = 0x7ba5ed9c505cf6f1ULL;
+constexpr std::uint64_t kRealCvSerialDigest = 0xc18e12fc77a1f789ULL;
+constexpr std::uint64_t kRealCvParallelDigest = 0x37d4345c0c8a7315ULL;
 
 void expect_digest(std::uint64_t got, std::uint64_t want,
                    const std::string& what) {
@@ -163,13 +165,29 @@ void expect_digest(std::uint64_t got, std::uint64_t want,
 }
 
 TEST(GoldenSearch, RealLearnerDigestSerial) {
-  expect_digest(real_search_digest(1), kRealSerialDigest, "serial run 1");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "serial run 2");
+  const ResamplingPolicy holdout = ResamplingPolicy::ForceHoldout;
+  expect_digest(real_search_digest(holdout, 1), kRealSerialDigest,
+                "serial run 1");
+  expect_digest(real_search_digest(holdout, 1), kRealSerialDigest,
+                "serial run 2");
 }
 
 TEST(GoldenSearch, RealLearnerDigestParallel) {
-  expect_digest(real_search_digest(2), kRealParallelDigest, "parallel run 1");
-  expect_digest(real_search_digest(2), kRealParallelDigest, "parallel run 2");
+  const ResamplingPolicy holdout = ResamplingPolicy::ForceHoldout;
+  expect_digest(real_search_digest(holdout, 2), kRealParallelDigest,
+                "parallel run 1");
+  expect_digest(real_search_digest(holdout, 2), kRealParallelDigest,
+                "parallel run 2");
+}
+
+TEST(GoldenSearch, RealLearnerCvDigestSerial) {
+  expect_digest(real_search_digest(ResamplingPolicy::ForceCV, 1),
+                kRealCvSerialDigest, "cv serial");
+}
+
+TEST(GoldenSearch, RealLearnerCvDigestParallel) {
+  expect_digest(real_search_digest(ResamplingPolicy::ForceCV, 2),
+                kRealCvParallelDigest, "cv parallel");
 }
 
 TEST(GoldenSearch, SubstrateCacheTransparentHoldoutSerial) {
