@@ -1,14 +1,16 @@
 // Microbenchmark for the cross-trial binned-substrate cache
 // (src/automl/substrate_cache.h). Replays a FLOW2-like trial workload —
 // (learner, config, sample_size) combos revisited many times, the pattern
-// the search loop produces at every sample-size rung — through a TrialRunner
-// with reuse_binned_data on and off, in holdout and CV mode, with 1 and 4
-// concurrent trial workers, and writes machine-readable timings to
-// BENCH_substrate_cache.json (per-section cache-on/off best-of-repeats
-// seconds, speedup, and the cache's hit/miss/bytes counters). Also
-// re-asserts the determinism contract on the benchmark inputs: per-trial
-// validation errors must be bit-identical cache-on vs cache-off and for any
-// worker count, and the result records whether that held.
+// the search loop produces at every sample-size rung — in holdout and CV
+// mode, with 1 and 4 concurrent trial workers, twice: warm (every trial
+// goes through one TrialRunner, so later trials reuse its cached
+// substrates) and cold (every trial gets a fresh TrialRunner and re-bins
+// its rows). Writes machine-readable timings to BENCH_substrate_cache.json
+// (per-section warm/cold best-of-repeats seconds, speedup, and the warm
+// cache's hit/miss/bytes counters). Also re-asserts the determinism
+// contract on the benchmark inputs: per-trial validation errors must be
+// bit-identical warm vs cold and for any worker count, and the result
+// records whether that held.
 //
 // Usage:
 //   bench_substrate_cache [--rows=N] [--features=N] [--trials=N]
@@ -21,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,7 +42,7 @@ namespace {
 constexpr int kWorkerCounts[] = {1, 4};
 
 // One trial shape the workload cycles through. The salt makes the trial's
-// training seed a pure function of the combo, so every (cache, workers)
+// training seed a pure function of the combo, so every (warm/cold, workers)
 // variant runs EXACTLY the same trials and their errors are comparable bit
 // for bit.
 struct Combo {
@@ -64,25 +67,34 @@ std::vector<Combo> make_combos(const Dataset& data, std::size_t max_sample) {
 
 struct Outcome {
   std::vector<double> errors;  // per trial index, worker-order independent
-  SubstrateCache::Counters counters;  // zeros when the cache is off
+  SubstrateCache::Counters counters;  // the shared runner's; zeros when cold
 };
 
-// Build a fresh runner (cold cache) and push `n_trials` trials through it
-// from `n_workers` threads — the shape of a parallel search's trial loop.
-Outcome run_workload(const Dataset& data, Resampling mode, bool reuse,
-                     int n_workers, int n_trials,
-                     const std::vector<Combo>& combos) {
+TrialRunner::Options runner_options(Resampling mode) {
   TrialRunner::Options options;
   options.resampling = mode;
   options.seed = 42;
-  options.reuse_binned_data = reuse;
-  TrialRunner runner(data, ErrorMetric::default_for(data.task()), options);
+  return options;
+}
+
+// Push `n_trials` trials from `n_workers` threads — the shape of a
+// parallel search's trial loop. Warm trials share one runner (built cold
+// here, so its cache starts empty); each cold trial builds its own runner,
+// which is what a trial with nothing to reuse costs.
+Outcome run_workload(const Dataset& data, Resampling mode, bool warm,
+                     int n_workers, int n_trials,
+                     const std::vector<Combo>& combos) {
+  const ErrorMetric metric = ErrorMetric::default_for(data.task());
+  TrialRunner shared(data, metric, runner_options(mode));
 
   Outcome outcome;
   outcome.errors.assign(static_cast<std::size_t>(n_trials), 0.0);
   auto work = [&](int worker) {
     for (int i = worker; i < n_trials; i += n_workers) {
       const Combo& combo = combos[static_cast<std::size_t>(i) % combos.size()];
+      std::optional<TrialRunner> fresh;
+      TrialRunner& runner =
+          warm ? shared : fresh.emplace(data, metric, runner_options(mode));
       const TrialResult result = runner.run(*combo.learner, combo.config,
                                             combo.sample_size, 0.0, combo.salt);
       outcome.errors[static_cast<std::size_t>(i)] = result.error;
@@ -95,9 +107,7 @@ Outcome run_workload(const Dataset& data, Resampling mode, bool reuse,
     for (int w = 0; w < n_workers; ++w) workers.emplace_back(work, w);
     for (auto& worker : workers) worker.join();
   }
-  if (runner.substrate_cache() != nullptr) {
-    outcome.counters = runner.substrate_cache()->counters();
-  }
+  outcome.counters = shared.substrate_cache()->counters();
   return outcome;
 }
 
@@ -146,8 +156,7 @@ void check_result_file(const std::string& path) {
     throw std::runtime_error("missing sections array");
   }
   for (const JsonValue& section : sections->array) {
-    for (const char* key : {"seconds_cache_on", "seconds_cache_off",
-                            "speedup_cache_on"}) {
+    for (const char* key : {"seconds_warm", "seconds_cold", "speedup_warm"}) {
       const JsonValue* v = section.find(key);
       if (v == nullptr || !v->is_number() || v->number < 0.0) {
         throw std::runtime_error(std::string("malformed section field '") + key +
@@ -161,7 +170,7 @@ void check_result_file(const std::string& path) {
       throw std::runtime_error("section lacks cache counters");
     }
     if (counters->find("hits")->number <= 0.0) {
-      throw std::runtime_error("cache-on section recorded no cache hits");
+      throw std::runtime_error("warm section recorded no cache hits");
     }
   }
 }
@@ -205,35 +214,35 @@ int run(int argc, char** argv) {
     // smaller than the dataset in holdout mode; a quick probe gets the size.
     std::size_t max_sample;
     {
-      TrialRunner::Options probe;
-      probe.resampling = mode;
-      probe.seed = 42;
-      TrialRunner runner(data, ErrorMetric::default_for(data.task()), probe);
+      TrialRunner runner(data, ErrorMetric::default_for(data.task()),
+                         runner_options(mode));
       max_sample = runner.max_sample_size();
     }
     const std::vector<Combo> combos = make_combos(data, max_sample);
 
-    std::vector<double> reference_errors;  // workers=1, cache on
+    std::vector<double> reference_errors;  // workers=1, warm
     for (int n_workers : kWorkerCounts) {
-      Outcome on, off;
-      const double seconds_on = best_seconds(repeats, on, [&] {
+      Outcome warm, cold;
+      const double seconds_warm = best_seconds(repeats, warm, [&] {
         return run_workload(data, mode, true, n_workers, n_trials, combos);
       });
-      const double seconds_off = best_seconds(repeats, off, [&] {
+      const double seconds_cold = best_seconds(repeats, cold, [&] {
         return run_workload(data, mode, false, n_workers, n_trials, combos);
       });
-      const double speedup = seconds_on > 0.0 ? seconds_off / seconds_on : 0.0;
+      const double speedup =
+          seconds_warm > 0.0 ? seconds_cold / seconds_warm : 0.0;
 
       const std::string label = std::string(resampling_name(mode)) +
                                 " workers=" + std::to_string(n_workers);
-      const bool on_off_identical = errors_identical(on.errors, off.errors);
-      if (reference_errors.empty()) reference_errors = on.errors;
+      const bool warm_cold_identical =
+          errors_identical(warm.errors, cold.errors);
+      if (reference_errors.empty()) reference_errors = warm.errors;
       const bool workers_identical =
-          errors_identical(on.errors, reference_errors);
-      all_identical = all_identical && on_off_identical && workers_identical;
-      if (!on_off_identical) {
+          errors_identical(warm.errors, reference_errors);
+      all_identical = all_identical && warm_cold_identical && workers_identical;
+      if (!warm_cold_identical) {
         std::cerr << "DETERMINISM VIOLATION: " << label
-                  << " cache-on errors differ from cache-off\n";
+                  << " warm errors differ from cold\n";
       }
       if (!workers_identical) {
         std::cerr << "DETERMINISM VIOLATION: " << label
@@ -243,24 +252,25 @@ int run(int argc, char** argv) {
       JsonValue section = JsonValue::make_object();
       section.set("mode", JsonValue::make_string(resampling_name(mode)));
       section.set("workers", JsonValue::make_number(n_workers));
-      section.set("seconds_cache_on", JsonValue::make_number(seconds_on));
-      section.set("seconds_cache_off", JsonValue::make_number(seconds_off));
-      section.set("speedup_cache_on", JsonValue::make_number(speedup));
+      section.set("seconds_warm", JsonValue::make_number(seconds_warm));
+      section.set("seconds_cold", JsonValue::make_number(seconds_cold));
+      section.set("speedup_warm", JsonValue::make_number(speedup));
       section.set("errors_identical",
-                  JsonValue::make_bool(on_off_identical && workers_identical));
+                  JsonValue::make_bool(warm_cold_identical &&
+                                       workers_identical));
       JsonValue counters = JsonValue::make_object();
       counters.set("hits", JsonValue::make_number(
-                               static_cast<double>(on.counters.hits)));
+                               static_cast<double>(warm.counters.hits)));
       counters.set("misses", JsonValue::make_number(
-                                 static_cast<double>(on.counters.misses)));
+                                 static_cast<double>(warm.counters.misses)));
       counters.set("bytes", JsonValue::make_number(
-                                static_cast<double>(on.counters.bytes)));
+                                static_cast<double>(warm.counters.bytes)));
       section.set("cache_counters", std::move(counters));
       sections.push(std::move(section));
 
-      std::cerr << "  " << label << ": cache on " << seconds_on << " s, off "
-                << seconds_off << " s, speedup " << speedup << "x (hits "
-                << on.counters.hits << ", misses " << on.counters.misses
+      std::cerr << "  " << label << ": warm " << seconds_warm << " s, cold "
+                << seconds_cold << " s, speedup " << speedup << "x (hits "
+                << warm.counters.hits << ", misses " << warm.counters.misses
                 << ")\n";
     }
   }
@@ -282,7 +292,7 @@ int run(int argc, char** argv) {
   if (args.has("check")) {
     check_result_file(out_path);
     if (!all_identical) {
-      std::cerr << "check failed: cached trials diverged from fresh ones\n";
+      std::cerr << "check failed: warm trials diverged from cold ones\n";
       return 1;
     }
     std::cerr << "check passed\n";

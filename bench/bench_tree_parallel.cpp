@@ -1,11 +1,12 @@
 // Microbenchmark for deterministic intra-trial parallelism. Times the
-// feature-parallel histogram build, leaf-wise and classification tree
-// growth, forest training and row-sharded prediction at n_threads
-// {1, 2, 4, 8} and writes machine-readable results to BENCH_tree.json
-// (sections with per-thread-count best-of-repeats seconds and
-// speedup_vs_serial). Also re-asserts the determinism contract on the
-// benchmark inputs: every parallel model must serialize byte-identically
-// to its serial reference, and the result records whether that held.
+// feature-parallel packed histogram build (the growers' kernel), leaf-wise
+// and classification tree growth, forest training and row-sharded
+// prediction at n_threads {1, 2, 4, 8} and writes machine-readable results
+// to BENCH_tree.json (sections with per-thread-count best-of-repeats
+// seconds and speedup_vs_serial). Also re-asserts the determinism
+// contract on the benchmark inputs: every parallel model must serialize
+// byte-identically to its serial reference, and the result records
+// whether that held.
 //
 // Also sweeps the histogram KERNELS (scalar reference vs every available
 // packed kernel, single thread) into a "kernels" section: rows/sec on the
@@ -441,12 +442,18 @@ int run(int argc, char** argv) {
            JsonValue::make_number(std::thread::hardware_concurrency()));
 
   JsonValue sections = JsonValue::make_array();
+  // The production build: the packed layout through the growers' kernel.
+  // The scalar build is only the kernel sweep's reference.
+  const std::vector<std::size_t> offsets = histogram_offsets(data.mapper);
+  const bool unit_hess = std::all_of(data.hess.begin(), data.hess.end(),
+                                     [](double v) { return v == 1.0; });
   sections.push(bench_section("hist_build", repeats, [&](int n_threads) {
     HistParallel par{n_threads > 1 ? &shared_pool() : nullptr, n_threads};
     std::vector<HistEntry> hist;
-    const std::vector<std::size_t> offsets = histogram_offsets(data.mapper);
-    build_gradient_histogram(data.binned, offsets, data.features, data.rows.data(),
-                             data.rows.size(), data.grad, data.hess, hist, par);
+    build_gradient_histogram_packed(data.packed, offsets, data.features,
+                                    data.rows.data(), data.rows.size(),
+                                    data.grad, data.hess, unit_hess, hist,
+                                    active_hist_kernel(), par);
   }));
   sections.push(bench_section("grow_leafwise", repeats, [&](int n_threads) {
     grow_leafwise(data, n_threads);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <future>
+#include <optional>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -172,7 +173,6 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
   runner_options.n_threads = options.n_threads;
   runner_options.cost_model = options.trial_cost_model;
   runner_options.tracer = tracer;
-  runner_options.reuse_binned_data = options.reuse_binned_data;
   runner_options.metrics = &metrics_;
   runner_ = std::make_unique<TrialRunner>(data, metric, runner_options);
   const std::size_t full_size = runner_->max_sample_size();
@@ -532,9 +532,9 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
                      << " cost=" << trial.cost;
   };
 
-  // `pending` = trials launched but not yet committed (0 in serial mode):
-  // round-robin rotates over the slot index iteration + pending so that a
-  // parallel launch sequence visits learners in exactly the serial order.
+  // `pending` = trials launched but not yet committed: round-robin rotates
+  // over the slot index iteration + pending so that a parallel launch
+  // sequence visits learners in exactly the serial order.
   auto pick_learner = [&](std::size_t pending) -> std::size_t {
     if (!calibrated_) return fastest;  // appendix rule: fastest learner first
     if (options.learner_choice == LearnerChoice::RoundRobin) {
@@ -549,21 +549,6 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
   auto iterations_left = [&](std::size_t pending) {
     return options.max_iterations == 0 ||
            static_cast<std::size_t>(iteration_) + pending < options.max_iterations;
-  };
-
-  // Runs after every commit: write the checkpoint when one is due, then
-  // fire the test hook. `pending` = trials launched but not yet committed
-  // at this boundary (what a resume must re-run first).
-  auto after_commit = [&](const std::vector<resume::PendingTrial>& pending) {
-    if (options.checkpoint_every_n_trials > 0 &&
-        static_cast<std::size_t>(iteration_) %
-                options.checkpoint_every_n_trials ==
-            0) {
-      make_checkpoint(pending, false).save(options.checkpoint_path);
-    }
-    if (options.on_trial_committed) {
-      options.on_trial_committed(static_cast<std::size_t>(iteration_));
-    }
   };
 
   // Launch-time racing plan: a snapshot of the incumbent envelope for this
@@ -620,50 +605,14 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
     return states_.size();
   };
 
-  if (options.n_parallel <= 1) {
-    if (checkpoint != nullptr && !checkpoint->pending.empty()) {
-      // Trials that were in flight when the checkpoint was written (the
-      // original run was parallel): re-run them first, in launch order —
-      // commits happen in exactly the order the parallel controller would
-      // have consumed them.
-      std::vector<resume::PendingTrial> queue = checkpoint->pending;
-      while (!queue.empty()) {
-        const resume::PendingTrial p = queue.front();
-        queue.erase(queue.begin());
-        LearnerState& state = states_[state_index(p.learner)];
-        Proposal proposal = from_pending(p);
-        const RacingPlan plan = plan_from_pending(p);
-        const double remaining = std::max(budget - elapsed(), 0.0);
-        TrialResult trial = runner_->run(*state.learner, proposal.config,
-                                         p.sample_size, remaining,
-                                         proposal.seed_salt, &plan);
-        commit(state, proposal, trial, p.sample_size);
-        after_commit(queue);
-      }
-    }
-    while (elapsed() < budget && !target_reached() && iterations_left(0)) {
-      if (poll_control()) break;
-      const std::size_t idx = pick_learner(0);
-      trace_learner_proposed(idx, static_cast<std::size_t>(iteration_));
-      LearnerState& state = states_[idx];
-      Proposal proposal = propose(state);
-      const std::size_t run_sample = state.sample_size;
-      const RacingPlan plan =
-          racing_plan_for(state.learner->name(), run_sample);
-      const double remaining = budget - elapsed();
-      if (remaining <= 0.0) break;
-      TrialResult trial = runner_->run(*state.learner, proposal.config,
-                                       run_sample, remaining,
-                                       proposal.seed_salt, &plan);
-      commit(state, proposal, trial, run_sample);
-      after_commit({});
-    }
-  } else {
-    // Parallel mode (paper appendix): up to n_parallel trials in flight, at
-    // most one per learner (FLOW2's ask/tell is sequential per learner).
-    // Proposals and bookkeeping stay on this thread; only the trials run on
-    // the pool. Completions are consumed in launch order, which keeps the
-    // history deterministic given the trial outcomes.
+  // --- The search loop (paper Figure 3; its appendix runs N of them) ---
+  // Up to n_parallel trials in flight, at most one per learner (FLOW2's
+  // ask/tell is sequential per learner). Proposals and bookkeeping stay on
+  // this thread; completions are committed in launch order, which keeps the
+  // history deterministic given the trial outcomes. Serial search is the
+  // one-slot case of this loop: its trials run inline on this thread, so it
+  // starts no pool.
+  {
     struct InFlight {
       std::size_t state_idx = 0;
       Proposal proposal;
@@ -671,42 +620,37 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
       RacingPlan plan;              // envelope snapshot at launch
       std::future<TrialResult> future;
     };
-    ThreadPool pool(static_cast<std::size_t>(options.n_parallel));
+    std::optional<ThreadPool> pool;
+    if (options.n_parallel > 1) {
+      pool.emplace(static_cast<std::size_t>(options.n_parallel));
+    }
     std::vector<InFlight> inflight;
     std::vector<bool> busy(states_.size(), false);
-
-    // The still-uncommitted launches, for the checkpoint written after each
-    // commit: a resume re-runs exactly these before proposing anything new.
-    auto inflight_pending = [&]() {
-      std::vector<resume::PendingTrial> pending;
-      pending.reserve(inflight.size());
-      for (const InFlight& entry : inflight) {
-        pending.push_back(to_pending(states_[entry.state_idx], entry.proposal,
-                                     entry.sample_size, entry.plan));
-      }
-      return pending;
-    };
 
     auto launch = [&](std::size_t idx, Proposal proposal,
                       std::size_t sample_size, double remaining,
                       RacingPlan plan) {
       busy[idx] = true;
-      const Learner* learner = states_[idx].learner.get();
-      Config config = proposal.config;
-      const std::uint64_t salt = proposal.seed_salt;
+      // The trial races against its own copy of the plan — the inflight
+      // vector may reallocate while the trial runs.
+      auto run_trial = [this, learner = states_[idx].learner.get(),
+                        config = proposal.config, sample_size, remaining,
+                        salt = proposal.seed_salt, plan] {
+        return runner_->run(*learner, config, sample_size, remaining, salt,
+                            &plan);
+      };
       InFlight entry;
       entry.state_idx = idx;
       entry.proposal = std::move(proposal);
       entry.sample_size = sample_size;
-      entry.plan = plan;  // kept for the checkpoint's pending list
-      entry.future = pool.submit(
-          // The worker races against its own copy of the plan — the
-          // inflight vector may reallocate while the trial runs.
-          [this, learner, config, sample_size, remaining, salt,
-           plan = std::move(plan)] {
-            return runner_->run(*learner, config, sample_size, remaining, salt,
-                                &plan);
-          });
+      entry.plan = std::move(plan);  // kept for the checkpoint's pending list
+      if (pool) {
+        entry.future = pool->submit(std::move(run_trial));
+      } else {
+        std::packaged_task<TrialResult()> trial(std::move(run_trial));
+        entry.future = trial.get_future();
+        trial();
+      }
       inflight.push_back(std::move(entry));
     };
 
@@ -746,6 +690,35 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
       return false;
     };
 
+    // Commit the oldest launch, write the checkpoint when one is due, then
+    // fire the test hook.
+    auto commit_front = [&]() {
+      InFlight front = std::move(inflight.front());
+      inflight.erase(inflight.begin());
+      TrialResult trial = front.future.get();
+      busy[front.state_idx] = false;
+      commit(states_[front.state_idx], front.proposal, trial,
+             front.sample_size);
+      if (options.checkpoint_every_n_trials > 0 &&
+          static_cast<std::size_t>(iteration_) %
+                  options.checkpoint_every_n_trials ==
+              0) {
+        // The still-uncommitted launches: a resume re-runs exactly these
+        // before proposing anything new.
+        std::vector<resume::PendingTrial> pending;
+        pending.reserve(inflight.size());
+        for (const InFlight& entry : inflight) {
+          pending.push_back(to_pending(states_[entry.state_idx],
+                                       entry.proposal, entry.sample_size,
+                                       entry.plan));
+        }
+        make_checkpoint(pending, false).save(options.checkpoint_path);
+      }
+      if (options.on_trial_committed) {
+        options.on_trial_committed(static_cast<std::size_t>(iteration_));
+      }
+    };
+
     while (elapsed() < budget && !target_reached() &&
            (!inflight.empty() || iterations_left(0))) {
       if (poll_control()) break;
@@ -754,26 +727,12 @@ void AutoML::run_search(const Dataset& data, const AutoMLOptions& options,
       while (static_cast<int>(inflight.size()) < cap && launch_one()) {
       }
       if (inflight.empty()) break;
-      InFlight front = std::move(inflight.front());
-      inflight.erase(inflight.begin());
-      TrialResult trial = front.future.get();
-      busy[front.state_idx] = false;
-      commit(states_[front.state_idx], front.proposal, trial,
-             front.sample_size);
-      after_commit(inflight_pending());
+      commit_front();
     }
     // Drain: runs after a normal exit AND after a Preempt/Cancel break, so
     // an interrupted search always stops at a clean trial boundary with an
     // empty in-flight list — exactly the state checkpoint_to() snapshots.
-    while (!inflight.empty()) {
-      InFlight front = std::move(inflight.front());
-      inflight.erase(inflight.begin());
-      TrialResult trial = front.future.get();
-      busy[front.state_idx] = false;
-      commit(states_[front.state_idx], front.proposal, trial,
-             front.sample_size);
-      after_commit(inflight_pending());
-    }
+    while (!inflight.empty()) commit_front();
   }
 
   if (interrupt_ != SearchSignal::Run) {

@@ -81,15 +81,6 @@ struct AutoMLOptions {
   // golden digests (tests/test_racing.cpp).
   RacingOptions racing;
 
-  // Cross-trial binned-substrate cache (src/automl/substrate_cache.h): the
-  // trial runner fits+encodes each (sample rows, max_bin) histogram
-  // substrate once and shares it across trials, instead of every tree fit
-  // re-binning from scratch. Byte-identical search either way — pinned by
-  // the golden digest tests — so turning it off only trades speed for a
-  // smaller resident footprint. Counters surface in metrics() under
-  // "substrate_cache.*".
-  bool reuse_binned_data = true;
-
   // Paper-equivalent budget used by the resampling rule = real budget /
   // budget_scale (benches run at scaled-down budgets; the rule's thresholds
   // are calibrated for paper-scale budgets).
@@ -110,10 +101,13 @@ struct AutoMLOptions {
   // only, not the predictor.
   bool enable_ensemble = false;
 
-  // Parallel search threads (paper appendix): when > 1, up to n_parallel
-  // trials run concurrently, each learner keeping at most one outstanding
-  // trial; learners are sampled by ECI as workers free up. Trial costs are
-  // still wall-clock per trial, so total CPU spent is ~n_parallel × budget.
+  // Search slots (paper appendix): up to n_parallel trials are in flight at
+  // once, each learner keeping at most one outstanding trial; learners are
+  // sampled by ECI as slots free up, and trials commit in launch order.
+  // Serial search is the one-slot case of the same loop: its trial runs on
+  // the calling thread, while more slots run trials on a pool of
+  // n_parallel threads. Trial costs are still wall-clock per trial, so
+  // total CPU spent is ~n_parallel × budget.
   int n_parallel = 1;
 
   // Intra-trial worker threads: each model fit parallelizes histogram
@@ -172,9 +166,9 @@ struct AutoMLOptions {
   std::function<void(std::size_t iteration)> on_trial_committed;
 
   // Cooperative preemption hook, polled at every trial boundary (before
-  // each new proposal, and after every commit in parallel mode) with the
-  // committed-trial count. Returning Preempt or Cancel stops the search at
-  // that boundary: in-flight parallel trials are drained and committed
+  // the first proposal, then after every commit, before the next launches)
+  // with the committed-trial count. Returning Preempt or Cancel stops the
+  // search at that boundary: in-flight trials are drained and committed
   // first (so the stop point is a clean boundary the checkpoint/resume
   // machinery already proves byte-exact), then fit() returns WITHOUT
   // training a final model — fitted() stays false, interrupt_status()

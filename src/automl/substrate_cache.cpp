@@ -99,8 +99,8 @@ std::shared_ptr<const std::vector<Fold>> SubstrateCache::folds(
     entry = it->second;
   }
   std::call_once(entry->once, [&] {
-    // Exactly the uncached path: a FRESH rng from the fold seed per
-    // partition, so the memoized folds equal what run() would draw.
+    // A FRESH rng from the fold seed per partition: the folds depend only
+    // on (fold seed, sample_size, k), never on which trial asked first.
     Rng fold_rng(fold_seed_);
     entry->value = std::make_shared<const std::vector<Fold>>(
         kfold_split(train_view_->prefix(sample_size), k, fold_rng));

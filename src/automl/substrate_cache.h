@@ -24,12 +24,12 @@
 // trainers can hold references for the duration of a fit with no further
 // synchronization.
 //
-// Determinism contract: cache on vs off is byte-identical — the cache runs
-// the same BinMapper::fit + encode_packed (see build_substrate) and the same
-// kfold_split with the same seed the uncached path uses, and trainers
-// verify rows/max_bin before accepting a substrate (acquire_substrate).
-// Pinned by the golden digest equality tests and the property suite in
-// tests/test_substrate_cache.cpp.
+// Determinism contract: a cached substrate is byte-identical to a fresh
+// one — the cache runs the same BinMapper::fit + encode_packed (see
+// build_substrate) a trainer's local build runs, and trainers verify
+// rows/max_bin before accepting a substrate (acquire_substrate). Pinned by
+// the real-learner golden digests (pinned from runs that re-binned every
+// trial) and the property suite in tests/test_substrate_cache.cpp.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,9 @@ class SubstrateCache {
   };
 
   // `train_view` is the runner's shuffled training view (samples are its
-  // prefixes); it must outlive the cache. `fold_seed` must equal the seed
-  // the uncached path hands kfold_split, so memoized folds are
-  // bit-identical to freshly drawn ones. `tracer`/`metrics` may be
+  // prefixes); it must outlive the cache. `fold_seed` seeds a fresh rng
+  // for every k-fold partition, so a partition is a pure function of
+  // (fold_seed, sample_size, k). `tracer`/`metrics` may be
   // off/null; when attached, builds emit `substrate_cache` trace events and
   // lookups maintain the substrate_cache.{hits,misses,bytes} metrics.
   SubstrateCache(const DataView* train_view, std::uint64_t fold_seed,

@@ -149,11 +149,9 @@ TrialRunner::TrialRunner(const Dataset& data, ErrorMetric metric, Options option
       throw DatasetTooSmall(os.str());
     }
   }
-  if (options_.reuse_binned_data) {
-    substrate_cache_ = std::make_unique<SubstrateCache>(
-        &train_view_, options_.seed ^ kFoldSeedSalt, options_.tracer,
-        options_.metrics);
-  }
+  substrate_cache_ = std::make_unique<SubstrateCache>(
+      &train_view_, options_.seed ^ kFoldSeedSalt, options_.tracer,
+      options_.metrics);
 }
 
 TrialResult TrialRunner::run(const Learner& learner, const Config& config,
@@ -182,21 +180,59 @@ TrialResult TrialRunner::run(const Learner& learner, const Config& config,
     options_.tracer.emit("trial_started", std::move(fields));
   }
   try {
+    // A trial trains and validates on k splits of its sample. Holdout is
+    // one split: the sample prefix against the fixed holdout set. CV is the
+    // k folds of the sample, with k chosen analytically so every fold is
+    // non-empty and trainable — naive clamping to the sample size can still
+    // deal empty folds under stratification (e.g. 3 rows with class counts
+    // {2, 1} at k = 3).
     DataView sample = train_view_.prefix(sample_size);
     SubstrateCache* cache = substrate_cache_.get();
-    if (options_.resampling == Resampling::Holdout) {
-      TrainContext ctx;
-      ctx.train = sample;
-      ctx.valid = &holdout_view_;
-      ctx.max_seconds = max_seconds;
-      ctx.fail_on_deadline = true;
-      ctx.seed = options_.seed ^ (trial_id * 0x9e3779b97f4a7c15ULL);
-      ctx.n_threads = options_.n_threads;
-      if (cache != nullptr) {
-        ctx.substrate = [cache, sample_size](int max_bin) {
-          return cache->prefix(sample_size, max_bin);
-        };
+    int k = 1;
+    std::shared_ptr<const std::vector<Fold>> folds;
+    if (options_.resampling == Resampling::CV) {
+      k = choose_cv_k(sample, options_.cv_folds);
+      if (k == 0) {
+        // Inside the try: surfaces as a cleanly Failed trial, not a crash.
+        std::ostringstream os;
+        os << "no usable fold count for a " << sample.n_rows() << "-row sample";
+        throw DatasetTooSmall(os.str());
       }
+      folds = cache->folds(sample_size, k);
+    }
+    const std::uint64_t trial_seed =
+        options_.seed ^ (trial_id * 0x9e3779b97f4a7c15ULL);
+    // max_seconds == 0 means UNLIMITED (the TrainContext contract), so an
+    // unlimited trial budget must map to an unlimited per-split cap — not
+    // to a zero cap that would kill every fold instantly. One split gets
+    // the whole cap (x / 1 == x).
+    const double split_cap =
+        max_seconds > 0.0 ? max_seconds / static_cast<double>(k) : 0.0;
+    double error = 0.0;
+    double error_sum = 0.0;
+    for (int f = 0; f < k; ++f) {
+      const Fold* fold =
+          folds != nullptr ? &(*folds)[static_cast<std::size_t>(f)] : nullptr;
+      const DataView& valid = fold != nullptr ? fold->valid : holdout_view_;
+      TrainContext ctx;
+      ctx.train = fold != nullptr ? fold->train : sample;
+      ctx.valid = &valid;
+      ctx.max_seconds = split_cap;
+      ctx.fail_on_deadline = true;
+      // Salt each CV fold's training seed with the fold index: without it
+      // every fold of a CV trial trains with the IDENTICAL seed, so seeded
+      // randomness (bootstraps, column sampling) is correlated across folds
+      // and the averaged error under-estimates variance. Holdout's one
+      // split keeps the unsalted trial seed.
+      ctx.seed = fold != nullptr
+                     ? trial_seed ^ ((static_cast<std::uint64_t>(f) + 1) *
+                                     kFoldSeedMix)
+                     : trial_seed;
+      ctx.n_threads = options_.n_threads;
+      ctx.substrate = [cache, sample_size, k, f](int max_bin) {
+        return k == 1 ? cache->prefix(sample_size, max_bin)
+                      : cache->fold_train(sample_size, k, f, max_bin);
+      };
       ctx.report = &train_report;
       if (race) {
         ctx.progress = [&](const TrainProgress& point) {
@@ -207,61 +243,12 @@ TrialResult TrialRunner::run(const Learner& learner, const Config& config,
         };
       }
       auto model = learner.train(ctx, config);
-      result.error = metric_(model->predict(holdout_view_), holdout_view_.labels());
-    } else {
-      // k-fold CV over the sample; average fold errors. The fold count is
-      // chosen analytically so every fold is non-empty and trainable —
-      // naive clamping to the sample size can still deal empty folds under
-      // stratification (e.g. 3 rows with class counts {2, 1} at k = 3).
-      const int k = choose_cv_k(sample, options_.cv_folds);
-      if (k == 0) {
-        // Inside the try: surfaces as a cleanly Failed trial, not a crash.
-        std::ostringstream os;
-        os << "no usable fold count for a " << sample.n_rows() << "-row sample";
-        throw DatasetTooSmall(os.str());
-      }
-      std::shared_ptr<const std::vector<Fold>> shared_folds;
-      std::vector<Fold> local_folds;
-      if (cache != nullptr) {
-        shared_folds = cache->folds(sample.n_rows(), k);
-      } else {
-        Rng fold_rng(options_.seed ^ kFoldSeedSalt);
-        local_folds = kfold_split(sample, k, fold_rng);
-      }
-      const std::vector<Fold>& folds =
-          shared_folds != nullptr ? *shared_folds : local_folds;
-      double total_error = 0.0;
-      // max_seconds == 0 means UNLIMITED (the TrainContext contract), so an
-      // unlimited trial budget must map to an unlimited per-fold cap — not
-      // to a zero cap that would kill every fold instantly.
-      const double per_fold_cap =
-          max_seconds > 0.0 ? max_seconds / static_cast<double>(k) : 0.0;
-      for (std::size_t f = 0; f < folds.size(); ++f) {
-        const Fold& fold = folds[f];
-        TrainContext ctx;
-        ctx.train = fold.train;
-        ctx.valid = &fold.valid;
-        ctx.max_seconds = per_fold_cap;
-        ctx.fail_on_deadline = true;
-        // Salt the training seed with the fold index: without it every
-        // fold of a CV trial trains with the IDENTICAL seed, so seeded
-        // randomness (bootstraps, column sampling) is correlated across
-        // folds and the averaged error under-estimates variance.
-        ctx.seed = options_.seed ^ (trial_id * 0x9e3779b97f4a7c15ULL) ^
-                   ((static_cast<std::uint64_t>(f) + 1) * kFoldSeedMix);
-        ctx.n_threads = options_.n_threads;
-        if (cache != nullptr) {
-          const std::size_t n_sample = sample.n_rows();
-          const int fold_index = static_cast<int>(f);
-          ctx.substrate = [cache, n_sample, k, fold_index](int max_bin) {
-            return cache->fold_train(n_sample, k, fold_index, max_bin);
-          };
-        }
-        auto model = learner.train(ctx, config);
-        total_error += metric_(model->predict(fold.valid), fold.valid.labels());
-      }
-      result.error = total_error / static_cast<double>(folds.size());
+      error = metric_(model->predict(valid), valid.labels());
+      error_sum += error;
     }
+    // One split reports the metric's value untouched (0.0 + e would turn a
+    // -0.0 into +0.0); k folds report their mean.
+    result.error = k == 1 ? error : error_sum / static_cast<double>(k);
   } catch (const TrialRaced&) {
     // Curve-dominated: the racing monitor vetoed further iterations. Like a
     // deadline kill, no model comes back and the error is infinite — but
@@ -349,12 +336,11 @@ std::unique_ptr<Model> TrialRunner::train_final(const Learner& learner,
   ctx.max_seconds = max_seconds;
   ctx.seed = options_.seed;
   ctx.n_threads = options_.n_threads;
-  if (SubstrateCache* cache = substrate_cache_.get()) {
-    // The full training view is the n_rows prefix of itself, so the final
-    // retrain reuses the search's largest-sample substrate when one exists.
-    const std::size_t n = train_view_.n_rows();
-    ctx.substrate = [cache, n](int max_bin) { return cache->prefix(n, max_bin); };
-  }
+  // The full training view is the n_rows prefix of itself, so the final
+  // retrain reuses the search's largest-sample substrate when one exists.
+  SubstrateCache* cache = substrate_cache_.get();
+  const std::size_t n = train_view_.n_rows();
+  ctx.substrate = [cache, n](int max_bin) { return cache->prefix(n, max_bin); };
   return learner.train(ctx, config);
 }
 

@@ -8,6 +8,9 @@
 //     across sample sizes);
 //   * cross-validation (r = cv, k = 5): a trial k-folds its s-row sample
 //     and averages the per-fold validation errors.
+// Both run one loop over a trial's train/validate splits; holdout is the
+// one-split case. Every split's binned substrate comes from the runner's
+// SubstrateCache (substrate_cache.h).
 // Trial cost is the measured wall-clock seconds of training + validation —
 // the κ(χ) the AutoML layer budgets against.
 #pragma once
@@ -80,9 +83,10 @@ struct TrialResult {
   // Streamed validation learning curve (holdout trials run under a racing
   // plan only; empty otherwise). Ok curves feed the RacingMonitor envelope.
   std::vector<double> curve;
-  // True training-unit counts from the learner's TrainReport (holdout
-  // trials; 0 when the learner does not report). A raced/deadline-capped
-  // trial reports how far it actually got — the true curve length.
+  // True training-unit counts from the learner's TrainReport (the last
+  // split trained: holdout's one split, CV's last fold; 0 when the learner
+  // does not report). A raced/deadline-capped trial reports how far it
+  // actually got — the true curve length.
   int iterations_completed = 0;
   int iterations_planned = 0;
 };
@@ -111,11 +115,6 @@ class TrialRunner {
     // from the calling thread, so in parallel search mode the sink sees
     // concurrent emissions (sinks are thread-safe by contract).
     observe::Tracer tracer;
-    // Serve trials a shared cross-trial binned substrate (substrate_cache.h)
-    // instead of letting every histogram fit re-bin its rows. Byte-identical
-    // either way (the determinism contract the golden tests pin); off only
-    // trades speed for a smaller resident footprint.
-    bool reuse_binned_data = true;
     // When set, the substrate cache mirrors its hit/miss/bytes counters
     // here (names prefixed "substrate_cache."). May be null.
     observe::MetricsRegistry* metrics = nullptr;
@@ -177,8 +176,8 @@ class TrialRunner {
   JsonValue to_json() const;
   void from_json(const JsonValue& value);
 
-  // Null when Options::reuse_binned_data is off. Exposed for tests and
-  // benches that assert on hit/miss/bytes counters.
+  // Never null. Exposed for tests and benches that assert on hit/miss/bytes
+  // counters.
   const SubstrateCache* substrate_cache() const { return substrate_cache_.get(); }
 
  private:
@@ -189,8 +188,9 @@ class TrialRunner {
   WallClock clock_;
   DataView train_view_;    // shuffled; samples are prefixes of this
   DataView holdout_view_;  // empty when resampling == CV
-  // Built in the constructor (reuse_binned_data); no checkpoint state —
-  // contents are rebuilt on demand, a resumed run just starts cold.
+  // Serves every trial's binned substrates and CV folds. Built in the
+  // constructor; no checkpoint state — contents are rebuilt on demand, a
+  // resumed run just starts cold.
   std::unique_ptr<SubstrateCache> substrate_cache_;
   std::atomic<std::uint64_t> trial_counter_{0};
 };

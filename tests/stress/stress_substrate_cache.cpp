@@ -2,9 +2,9 @@
 // SubstrateCache with overlapping keys must (a) never race (run under TSan),
 // (b) agree on ONE shared entry per key — the same shared_ptr, built exactly
 // once — and (c) serve contents bit-identical to a fresh single-threaded
-// fit+encode. Then end-to-end: a PARALLEL CV search with the cache on must
-// produce the same trial history as with it off, so cache contention in the
-// real trial loop cannot leak into search results.
+// fit+encode. Then end-to-end: a PARALLEL CV search must produce the same
+// trial history as the serial one, so cache contention in the real trial
+// loop cannot leak into search results.
 #include "automl/substrate_cache.h"
 
 #include <gtest/gtest.h>
@@ -147,18 +147,20 @@ TEST(SubstrateCacheStress, ParallelHammerServesOneIdenticalEntryPerKey) {
   }
 }
 
-// End-to-end under TSan: parallel CV searches with real tree learners, cache
-// on vs off, must agree record-for-record — contention inside the cache can
-// never surface as a search-result difference.
-FLAML_PROP(SubstrateCacheStress, ParallelCvSearchCacheOnOffIdentical, 3) {
+// End-to-end under TSan: a parallel CV search with real tree learners must
+// agree record for record with the serial search, whose one slot never
+// contends for the cache. Round-robin learner choice removes the only
+// policy randomness, so any difference is contention leaking into results.
+FLAML_PROP(SubstrateCacheStress, ParallelCvSearchEqualsSerial, 3) {
   const Dataset data = stress_binary(prop.seed | 1);
   AutoMLOptions options;
   options.time_budget_seconds = 1e6;
-  options.max_iterations = 6;
+  options.max_iterations = 8;
   options.initial_sample_size = 32;
   options.resampling = ResamplingPolicy::ForceCV;
-  options.estimator_list = {"lgbm", "rf"};
-  options.n_parallel = 4;
+  options.learner_choice = LearnerChoice::RoundRobin;
+  // Four learners keep all four slots busy; they share the cache's entries.
+  options.estimator_list = {"lgbm", "rf", "xgboost", "extra_tree"};
   options.trial_cost_model = [](const Learner& learner, const Config&,
                                 std::size_t sample_size) {
     return learner.initial_cost_multiplier() *
@@ -166,16 +168,15 @@ FLAML_PROP(SubstrateCacheStress, ParallelCvSearchCacheOnOffIdentical, 3) {
   };
   options.seed = prop.rng.next();
 
-  options.reuse_binned_data = true;
-  AutoML cached;
-  cached.fit(data, options);
+  AutoML serial;
+  serial.fit(data, options);
 
-  options.reuse_binned_data = false;
-  AutoML fresh;
-  fresh.fit(data, options);
+  options.n_parallel = 4;
+  AutoML parallel;
+  parallel.fit(data, options);
 
-  const TrialHistory& a = cached.history();
-  const TrialHistory& b = fresh.history();
+  const TrialHistory& a = parallel.history();
+  const TrialHistory& b = serial.history();
   ASSERT_EQ(a.size(), b.size());
   ASSERT_FALSE(a.empty());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -186,9 +187,9 @@ FLAML_PROP(SubstrateCacheStress, ParallelCvSearchCacheOnOffIdentical, 3) {
     EXPECT_DOUBLE_EQ(a[i].error, b[i].error) << what;
     EXPECT_DOUBLE_EQ(a[i].cost, b[i].cost) << what;
   }
-  EXPECT_DOUBLE_EQ(cached.best_error(), fresh.best_error());
-  EXPECT_EQ(cached.best_learner(), fresh.best_learner());
-  EXPECT_GT(cached.metrics().value("substrate_cache.hits"), 0.0);
+  EXPECT_DOUBLE_EQ(parallel.best_error(), serial.best_error());
+  EXPECT_EQ(parallel.best_learner(), serial.best_learner());
+  EXPECT_GT(parallel.metrics().value("substrate_cache.hits"), 0.0);
 }
 
 }  // namespace

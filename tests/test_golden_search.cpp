@@ -26,7 +26,6 @@ namespace flaml {
 namespace {
 
 using testing::add_resume_lineup;
-using testing::canonical_history;
 using testing::expect_history_digest;
 using testing::history_digest;
 using testing::resume_options;
@@ -68,16 +67,21 @@ TEST(GoldenSearch, ParallelHistoryDigestIsPinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Substrate-cache transparency goldens: with REAL tree learners (the stub
-// lineup never bins data), the search history with reuse_binned_data on must
-// be digest-identical to the history with it off. The cache serves shared
-// BinMapper fits keyed by the exact row set, so any divergence here means a
-// cached substrate differed from a fresh fit+encode — a correctness bug, not
-// something to re-pin.
+// Real-learner goldens. The stub lineup never bins data, so these runs use
+// the real tree learners and pin the whole production tree path — binning,
+// packed histogram kernels, both growers — plus run-to-run and
+// n_parallel=1 vs 2 determinism. The packed kernels are bit-identical to
+// the scalar reference builds (src/tree/histogram.h); a mismatch after a
+// kernel-only change is a bit-identity bug — never re-pin around it. Re-pin
+// only for intentional changes to the search loop or the tree learners.
+// Every trial takes its binned substrates and CV folds from the runner's
+// substrate cache. The digests were pinned from runs that re-binned every
+// trial from scratch, so they also prove the cache transparent: a mismatch
+// may mean a cached substrate or fold went stale.
 
-// Pure function of (learner, config, sample size): both runs being compared
-// see identical search decisions, so a history divergence can only come from
-// the trained models themselves.
+// Pure function of (learner, config, sample size): runs at any n_parallel
+// see identical costs, so a history divergence can only come from the
+// search loop or the trained models themselves.
 TrialCostModel real_cost_model() {
   return [](const Learner& learner, const Config& config,
             std::size_t sample_size) {
@@ -89,7 +93,7 @@ TrialCostModel real_cost_model() {
   };
 }
 
-AutoMLOptions real_options(bool reuse_binned_data, ResamplingPolicy resampling,
+AutoMLOptions real_options(ResamplingPolicy resampling,
                            std::size_t n_parallel) {
   AutoMLOptions options;
   options.time_budget_seconds = 1e6;  // iteration budget terminates, not time
@@ -100,48 +104,14 @@ AutoMLOptions real_options(bool reuse_binned_data, ResamplingPolicy resampling,
   options.trial_cost_model = real_cost_model();
   options.seed = 7;
   options.n_parallel = n_parallel;
-  options.reuse_binned_data = reuse_binned_data;
   return options;
 }
-
-void expect_cache_transparent(ResamplingPolicy resampling,
-                              std::size_t n_parallel, const std::string& what) {
-  const Dataset data = resume_tiny_binary(2024);
-  AutoML cached;
-  cached.fit(data, real_options(true, resampling, n_parallel));
-  AutoML fresh;
-  fresh.fit(data, real_options(false, resampling, n_parallel));
-  ASSERT_FALSE(cached.history().empty()) << what;
-  std::ostringstream got;
-  got << std::hex << history_digest(cached.history());
-  std::ostringstream want;
-  want << std::hex << history_digest(fresh.history());
-  EXPECT_EQ(got.str(), want.str())
-      << what << ": reuse_binned_data changed the search history — the "
-      << "substrate cache must be byte-transparent.\nCached history:\n"
-      << canonical_history(cached.history()) << "Fresh history:\n"
-      << canonical_history(fresh.history());
-  EXPECT_EQ(cached.best_learner(), fresh.best_learner()) << what;
-  EXPECT_DOUBLE_EQ(cached.best_error(), fresh.best_error()) << what;
-  // The cached run actually exercised the cache; the fresh run never built one.
-  EXPECT_GT(cached.metrics().value("substrate_cache.hits"), 0.0) << what;
-  EXPECT_DOUBLE_EQ(fresh.metrics().value("substrate_cache.hits"), 0.0) << what;
-}
-
-// ---------------------------------------------------------------------------
-// Real-learner goldens. The stub lineup never bins data, so these runs use
-// the real tree learners and pin the whole production tree path — binning,
-// packed histogram kernels, both growers — plus run-to-run and
-// n_parallel=1 vs 2 determinism. The packed kernels are bit-identical to
-// the scalar reference builds (src/tree/histogram.h); a mismatch after a
-// kernel-only change is a bit-identity bug — never re-pin around it. Re-pin
-// only for intentional changes to the search loop or the tree learners.
 
 std::uint64_t real_search_digest(ResamplingPolicy resampling,
                                  std::size_t n_parallel) {
   const Dataset data = resume_tiny_binary(2024);
   AutoML automl;
-  automl.fit(data, real_options(false, resampling, n_parallel));
+  automl.fit(data, real_options(resampling, n_parallel));
   EXPECT_FALSE(automl.history().empty());
   return history_digest(automl.history());
 }
@@ -188,24 +158,6 @@ TEST(GoldenSearch, RealLearnerCvDigestSerial) {
 TEST(GoldenSearch, RealLearnerCvDigestParallel) {
   expect_digest(real_search_digest(ResamplingPolicy::ForceCV, 2),
                 kRealCvParallelDigest, "cv parallel");
-}
-
-TEST(GoldenSearch, SubstrateCacheTransparentHoldoutSerial) {
-  expect_cache_transparent(ResamplingPolicy::ForceHoldout, 1,
-                           "holdout serial");
-}
-
-TEST(GoldenSearch, SubstrateCacheTransparentCvSerial) {
-  expect_cache_transparent(ResamplingPolicy::ForceCV, 1, "cv serial");
-}
-
-TEST(GoldenSearch, SubstrateCacheTransparentHoldoutParallel) {
-  expect_cache_transparent(ResamplingPolicy::ForceHoldout, 2,
-                           "holdout parallel");
-}
-
-TEST(GoldenSearch, SubstrateCacheTransparentCvParallel) {
-  expect_cache_transparent(ResamplingPolicy::ForceCV, 2, "cv parallel");
 }
 
 }  // namespace

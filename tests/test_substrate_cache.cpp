@@ -252,32 +252,6 @@ TEST(SubstrateCache, RunnerReusesSubstrateAcrossTrials) {
   EXPECT_DOUBLE_EQ(first.error, second.error);
 }
 
-TEST(SubstrateCache, RunnerCacheOnOffTrialsIdentical) {
-  Dataset data = binary_data(360);
-  for (Resampling mode : {Resampling::Holdout, Resampling::CV}) {
-    TrialRunner::Options on;
-    on.resampling = mode;
-    TrialRunner::Options off = on;
-    off.reuse_binned_data = false;
-    TrialRunner runner_on(data, ErrorMetric::default_for(data.task()), on);
-    TrialRunner runner_off(data, ErrorMetric::default_for(data.task()), off);
-    EXPECT_EQ(runner_off.substrate_cache(), nullptr);
-    for (const char* name : {"lgbm", "rf"}) {
-      LearnerPtr learner = builtin_learner(name);
-      Config config =
-          learner->space(data.task(), runner_on.max_sample_size())
-              .initial_config();
-      for (std::size_t s : {90u, 180u, 180u}) {  // repeat exercises a hit
-        TrialResult a = runner_on.run(*learner, config, s, 0.0, 7);
-        TrialResult b = runner_off.run(*learner, config, s, 0.0, 7);
-        EXPECT_DOUBLE_EQ(a.error, b.error)
-            << name << " s=" << s << " mode=" << resampling_name(mode);
-      }
-    }
-    EXPECT_GT(runner_on.substrate_cache()->counters().hits, 0u);
-  }
-}
-
 // --- Properties ---
 
 // Cached prefix and fold substrates are bit-identical to a fresh fit+encode
