@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -26,6 +27,7 @@ namespace flaml {
 namespace {
 
 using testing::add_resume_lineup;
+using testing::canonical_history;
 using testing::expect_history_digest;
 using testing::history_digest;
 using testing::resume_options;
@@ -158,6 +160,99 @@ TEST(GoldenSearch, RealLearnerCvDigestSerial) {
 TEST(GoldenSearch, RealLearnerCvDigestParallel) {
   expect_digest(real_search_digest(ResamplingPolicy::ForceCV, 2),
                 kRealCvParallelDigest, "cv parallel");
+}
+
+// ---------------------------------------------------------------------------
+// Substrate-cache transparency goldens. In the warm run every trial takes its
+// binned substrates and CV folds from the one runner cache that earlier
+// trials filled. The cold run crashes after every committed trial and each
+// segment resumes from the checkpoint into a fresh AutoML, whose runner
+// starts with an empty cache, so its trials bin their data from scratch
+// (with n_parallel=2 the replayed in-flight trial and the next launch share
+// a segment). A cached substrate is byte-identical to a fresh fit+encode, so
+// the two histories must match record for record; any divergence is a stale
+// or wrong cache entry — a correctness bug, not something to re-pin.
+
+std::unique_ptr<AutoML> cold_per_trial_search(const Dataset& data,
+                                              AutoMLOptions options,
+                                              const std::string& checkpoint,
+                                              const std::string& what) {
+  std::size_t kill_at = 1;
+  testing::arm_kill(options, checkpoint, kill_at);
+  auto automl = std::make_unique<AutoML>();
+  try {
+    automl->fit(data, options);
+    ADD_FAILURE() << what << ": the search never reached boundary 1";
+    return automl;
+  } catch (const testing::KillSignal&) {
+  }
+  for (;;) {
+    testing::arm_kill(options, checkpoint, ++kill_at);
+    automl = std::make_unique<AutoML>();
+    try {
+      automl->resume_from_file(data, options, checkpoint);
+      return automl;  // the last boundary was already past: search finished
+    } catch (const testing::KillSignal&) {
+    }
+  }
+}
+
+// A longer search from a smaller first sample than the digest runs, so the
+// samples of both learners grow and cached folds of several sizes are live
+// at once.
+AutoMLOptions transparency_options(ResamplingPolicy resampling,
+                                   std::size_t n_parallel) {
+  AutoMLOptions options = real_options(resampling, n_parallel);
+  options.max_iterations = 16;
+  options.initial_sample_size = 16;
+  return options;
+}
+
+void expect_cache_transparent(ResamplingPolicy resampling,
+                              std::size_t n_parallel, const std::string& what) {
+  const Dataset data = resume_tiny_binary(2024);
+  const AutoMLOptions options = transparency_options(resampling, n_parallel);
+  AutoML warm;
+  warm.fit(data, options);
+  const std::unique_ptr<AutoML> cold = cold_per_trial_search(
+      data, options,
+      ::testing::TempDir() + "cache_transparent_" + std::to_string(n_parallel) +
+          "_" + std::to_string(static_cast<int>(resampling)) + ".ckpt",
+      what);
+  ASSERT_FALSE(warm.history().empty()) << what;
+  testing::expect_resume_histories_equal(cold->history(), warm.history(),
+                                         what);
+  std::ostringstream got;
+  got << std::hex << history_digest(warm.history());
+  std::ostringstream want;
+  want << std::hex << history_digest(cold->history());
+  EXPECT_EQ(got.str(), want.str())
+      << what << ": serving substrates from the cache changed the search "
+      << "history — the substrate cache must be byte-transparent.\nWarm "
+      << "history:\n" << canonical_history(warm.history())
+      << "Cold history:\n" << canonical_history(cold->history());
+  EXPECT_EQ(warm.best_learner(), cold->best_learner()) << what;
+  EXPECT_DOUBLE_EQ(warm.best_error(), cold->best_error()) << what;
+  // The warm run actually served trials from its cache.
+  EXPECT_GT(warm.metrics().value("substrate_cache.hits"), 0.0) << what;
+}
+
+TEST(GoldenSearch, SubstrateCacheTransparentHoldoutSerial) {
+  expect_cache_transparent(ResamplingPolicy::ForceHoldout, 1,
+                           "holdout serial");
+}
+
+TEST(GoldenSearch, SubstrateCacheTransparentCvSerial) {
+  expect_cache_transparent(ResamplingPolicy::ForceCV, 1, "cv serial");
+}
+
+TEST(GoldenSearch, SubstrateCacheTransparentHoldoutParallel) {
+  expect_cache_transparent(ResamplingPolicy::ForceHoldout, 2,
+                           "holdout parallel");
+}
+
+TEST(GoldenSearch, SubstrateCacheTransparentCvParallel) {
+  expect_cache_transparent(ResamplingPolicy::ForceCV, 2, "cv parallel");
 }
 
 }  // namespace

@@ -252,6 +252,34 @@ TEST(SubstrateCache, RunnerReusesSubstrateAcrossTrials) {
   EXPECT_DOUBLE_EQ(first.error, second.error);
 }
 
+// A warm runner serves repeat trials from its cache; a cold runner, built
+// fresh for each trial, fits and encodes every substrate from scratch. Both
+// give every trial the same error.
+TEST(SubstrateCache, RunnerCacheOnOffTrialsIdentical) {
+  Dataset data = binary_data(360);
+  for (Resampling mode : {Resampling::Holdout, Resampling::CV}) {
+    TrialRunner::Options options;
+    options.resampling = mode;
+    const ErrorMetric metric = ErrorMetric::default_for(data.task());
+    TrialRunner warm(data, metric, options);
+    for (const char* name : {"lgbm", "rf"}) {
+      LearnerPtr learner = builtin_learner(name);
+      Config config =
+          learner->space(data.task(), warm.max_sample_size()).initial_config();
+      for (std::size_t s : {90u, 180u, 180u}) {  // repeat exercises a hit
+        TrialRunner cold(data, metric, options);
+        TrialResult a = warm.run(*learner, config, s, 0.0, 7);
+        TrialResult b = cold.run(*learner, config, s, 0.0, 7);
+        EXPECT_DOUBLE_EQ(a.error, b.error)
+            << name << " s=" << s << " mode=" << resampling_name(mode);
+        EXPECT_EQ(cold.substrate_cache()->counters().hits, 0u)
+            << name << " s=" << s << " mode=" << resampling_name(mode);
+      }
+    }
+    EXPECT_GT(warm.substrate_cache()->counters().hits, 0u);
+  }
+}
+
 // --- Properties ---
 
 // Cached prefix and fold substrates are bit-identical to a fresh fit+encode
