@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "resume/checkpoint.h"
 #include "data/generators.h"
 #include "forest/forest.h"
 #include "boosting/gbdt.h"
@@ -62,6 +63,14 @@ std::string linear_payload() {
 
 void parse_artifact(const std::string& text) {
   serve::CompiledModel::deserialize(serve::unwrap_artifact(text));
+}
+
+// The envelope bytes of a real artifact are pinned, so a change to the
+// container code cannot silently change what an artifact file holds.
+TEST(CompiledArtifactFormat, EnvelopeBytesArePinned) {
+  const std::string text = serve::wrap_artifact(linear_payload());
+  EXPECT_EQ(text.size(), 205u);
+  EXPECT_EQ(resume::fnv1a64(text.data(), text.size()), 0x509b656e898ed831ULL);
 }
 
 TEST(CompiledArtifactAdversarial, EveryTruncationThrows) {

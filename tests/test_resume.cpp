@@ -213,6 +213,15 @@ TEST(ResumeContainer, SerializeParseRoundTrip) {
   EXPECT_DOUBLE_EQ(payload.at("n").number, 3.0);
 }
 
+// The container bytes are pinned, so a change to the envelope code cannot
+// silently change what a checkpoint file holds.
+TEST(ResumeContainer, SerializedBytesArePinned) {
+  const std::string text = resume::serialize_checkpoint(small_payload());
+  EXPECT_EQ(text.size(), 63u) << text;
+  EXPECT_EQ(resume::fnv1a64(text.data(), text.size()), 0xcff035c4714786c1ULL)
+      << text;
+}
+
 TEST(ResumeContainer, EveryTruncationThrows) {
   const std::string text = resume::serialize_checkpoint(small_payload());
   expect_every_truncation_throws(
