@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "common/log.h"
 #include "common/math_util.h"
+#include "common/sealed_file.h"
 
 namespace flaml {
 
@@ -20,10 +21,7 @@ namespace {
 // so a trial's training seed does not depend on how concurrent trials of
 // OTHER learners interleave — the keystone of parallel-search determinism.
 std::uint64_t trial_salt(const std::string& learner, std::uint64_t index) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char ch : learner) {
-    h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
-  }
+  std::uint64_t h = fnv1a64(learner);
   h ^= index + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h == 0 ? 1 : h;  // 0 means "use the runner's internal counter"
 }
@@ -902,9 +900,9 @@ void AutoML::save_best_model(std::ostream& out) const {
 }
 
 void AutoML::save_best_model_file(const std::string& path) const {
-  std::ofstream out(path);
-  FLAML_REQUIRE(out.good(), "cannot open '" << path << "' for writing");
+  std::ostringstream out;
   save_best_model(out);
+  write_file_durable(path, out.str());
 }
 
 std::unique_ptr<Model> load_automl_model(std::istream& in,

@@ -148,9 +148,9 @@ struct AutoMLOptions {
   observe::TraceSinkPtr trace_sink;
 
   // Crash-safe checkpointing (src/resume/checkpoint.h): when both are set,
-  // fit() atomically rewrites `checkpoint_path` after every
-  // checkpoint_every_n_trials-th committed trial (write to "<path>.tmp",
-  // rename into place — a crash mid-write never clobbers the previous
+  // fit() durably rewrites `checkpoint_path` after every
+  // checkpoint_every_n_trials-th committed trial (the atomic write of
+  // src/common/sealed_file.h: a crash mid-write never clobbers the previous
   // checkpoint). Resume with AutoML::resume_from_file(), passing the SAME
   // dataset and options: the resumed search replays in-flight trials and
   // continues, producing the identical trial history and best model as the
@@ -169,11 +169,17 @@ struct AutoMLOptions {
   // the first proposal, then after every commit, before the next launches)
   // with the committed-trial count. Returning Preempt or Cancel stops the
   // search at that boundary: in-flight trials are drained and committed
-  // first (so the stop point is a clean boundary the checkpoint/resume
-  // machinery already proves byte-exact), then fit() returns WITHOUT
-  // training a final model — fitted() stays false, interrupt_status()
-  // reports the signal, and checkpoint_to() snapshots the state so
-  // resume_from() can continue the search later as if never interrupted.
+  // first (so the stop point is a clean trial boundary), then fit() returns
+  // WITHOUT training a final model — fitted() stays false,
+  // interrupt_status() reports the signal, and checkpoint_to() snapshots
+  // the state so resume_from() can continue the search later. At
+  // n_parallel = 1 the resumed search equals the uninterrupted one. With
+  // more slots it does not in general: the drain commits trials that an
+  // uninterrupted run would have committed after launching others, so the
+  // resumed launch order, and with it the history, can differ. (Crash-
+  // and-resume from a per-trial checkpoint_path file is exact at every
+  // slot count: the checkpoint records the in-flight trials instead of
+  // draining them.)
   // Null (the default) means the search only stops on budget/target/
   // iteration limits. Latency is one trial: a signal lands at the next
   // boundary, exactly like the kill-anywhere contract.

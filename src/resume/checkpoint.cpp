@@ -1,16 +1,6 @@
 #include "resume/checkpoint.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "common/error.h"
 
@@ -26,9 +16,6 @@ constexpr std::size_t kMaxEnvelopes = 100000;
 constexpr std::size_t kMaxEnvelopePoints = 1u << 20;
 constexpr std::size_t kMaxHistory = 10000000;
 constexpr std::size_t kMaxBlobBytes = 1u << 30;
-constexpr std::size_t kMaxPayloadBytes = 1u << 31;
-
-constexpr char kMagic[] = "flaml-checkpoint";
 
 JsonValue record_to_json(const TrialRecord& r) {
   JsonValue out = JsonValue::make_object();
@@ -65,15 +52,17 @@ TrialRecord record_from_json(const JsonValue& v) {
   return r;
 }
 
-}  // namespace
-
-std::uint64_t fnv1a64(const char* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h = (h ^ static_cast<unsigned char>(data[i])) * 0x100000001b3ULL;
+JsonValue parse_payload(const std::string& payload) {
+  try {
+    return parse_json(payload);
+  } catch (const std::exception& e) {
+    // Unreachable in practice (the checksum already vouches for the bytes)
+    // but keeps the error typed if the writer itself produced bad JSON.
+    FLAML_PARSE_REQUIRE(false, "checkpoint payload is not valid JSON: " << e.what());
   }
-  return h;
 }
+
+}  // namespace
 
 std::string encode_blob(const std::string& bytes) {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -309,172 +298,19 @@ SearchCheckpoint SearchCheckpoint::from_json(const JsonValue& payload) {
 }
 
 std::string serialize_checkpoint(const JsonValue& payload) {
-  const std::string body = dump_json_compact(payload);
-  std::ostringstream out;
-  out << kMagic << " v" << kCheckpointVersion << ' ' << body.size() << ' ';
-  char checksum[17];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(body.data(), body.size())));
-  out << checksum << '\n' << body;
-  return out.str();
+  return seal(kCheckpointFormat, dump_json_compact(payload));
 }
 
 JsonValue parse_checkpoint(const std::string& text) {
-  const std::size_t eol = text.find('\n');
-  FLAML_PARSE_REQUIRE(eol != std::string::npos, "checkpoint header line missing");
-  std::istringstream header(text.substr(0, eol));
-  std::string magic, version, checksum_hex;
-  std::uint64_t nbytes = 0;
-  header >> magic >> version >> nbytes >> checksum_hex;
-  FLAML_PARSE_REQUIRE(!header.fail(), "malformed checkpoint header");
-  FLAML_PARSE_REQUIRE(magic == kMagic, "not a flaml checkpoint file");
-  FLAML_PARSE_REQUIRE(version == "v" + std::to_string(kCheckpointVersion),
-                      "unsupported checkpoint version '" << version << "'");
-  FLAML_PARSE_REQUIRE(nbytes <= kMaxPayloadBytes, "checkpoint payload too large");
-  const std::string payload_bytes = text.substr(eol + 1);
-  FLAML_PARSE_REQUIRE(payload_bytes.size() == nbytes,
-                      "checkpoint payload has " << payload_bytes.size()
-                                                << " bytes, header declares "
-                                                << nbytes);
-  JsonValue checksum_value = JsonValue::make_string("0x" + checksum_hex);
-  const std::uint64_t declared = u64_value(checksum_value, "checkpoint checksum");
-  const std::uint64_t actual = fnv1a64(payload_bytes.data(), payload_bytes.size());
-  FLAML_PARSE_REQUIRE(declared == actual, "checkpoint checksum mismatch");
-  try {
-    return parse_json(payload_bytes);
-  } catch (const std::exception& e) {
-    // Unreachable in practice (the checksum already vouches for the bytes)
-    // but keeps the error typed if the writer itself produced bad JSON.
-    FLAML_PARSE_REQUIRE(false, "checkpoint payload is not valid JSON: " << e.what());
-  }
+  return parse_payload(unseal(kCheckpointFormat, text));
 }
 
-namespace {
-
-// Directory part of `path` ("." when it has none) — where the dir-entry
-// fsync must land for the rename to be durable.
-std::string parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-// Write `contents` to `path`, fsync'ing the file before close so a crash
-// right after this call cannot leave a zero-length or partially-flushed
-// file behind the data the caller believes is on disk.
-void write_file_synced(const std::string& path, const std::string& contents) {
-#ifndef _WIN32
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  FLAML_REQUIRE(fd >= 0, "cannot open '" << path << "' for writing — "
-                                         << std::strerror(errno));
-  std::size_t written = 0;
-  while (written < contents.size()) {
-    const ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      FLAML_REQUIRE(false, "failed writing checkpoint to '"
-                               << path << "' — " << std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // A successful write() only hands the bytes to the page cache; without
-  // the fsync a crash can surface the rename (metadata) WITHOUT the data,
-  // i.e. a valid-looking path holding a truncated checkpoint.
-  const bool synced = ::fsync(fd) == 0;
-  const int sync_err = errno;
-  FLAML_REQUIRE(::close(fd) == 0, "failed closing '" << path << "'");
-  FLAML_REQUIRE(synced, "fsync('" << path << "') failed — "
-                                  << std::strerror(sync_err));
-#else
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  FLAML_REQUIRE(out.good(), "cannot open '" << path << "' for writing");
-  out << contents;
-  out.flush();
-  FLAML_REQUIRE(out.good(), "failed writing checkpoint to '" << path << "'");
-#endif
-}
-
-// fsync the directory holding `path` so the rename's dir entry is durable
-// (without it the rename itself can vanish in a crash, resurrecting the
-// previous checkpoint — or on a fresh path, no checkpoint at all).
-void sync_parent_dir(const std::string& path) {
-#ifndef _WIN32
-  const std::string dir = parent_dir(path);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  // Some filesystems refuse O_RDONLY on directories; best-effort there.
-  if (fd < 0) return;
-  ::fsync(fd);  // best-effort: EINVAL on fs that can't fsync a directory
-  ::close(fd);
-#else
-  (void)path;
-#endif
-}
-
-}  // namespace
-
-void write_checkpoint_file(const std::string& path, const JsonValue& payload,
-                           const std::string& tmp_dir) {
-  FLAML_REQUIRE(!path.empty(), "checkpoint path must be non-empty");
-  // Default tmp location: next to the target, so the rename is same-
-  // filesystem and atomic. A caller-provided tmp_dir (e.g. a fast scratch
-  // mount) may cross filesystems — handled below.
-  const std::string filename_part =
-      path.find_last_of('/') == std::string::npos
-          ? path
-          : path.substr(path.find_last_of('/') + 1);
-  const std::string tmp =
-      tmp_dir.empty() ? path + ".tmp" : tmp_dir + "/" + filename_part + ".tmp";
-  const std::string contents = serialize_checkpoint(payload);
-  write_file_synced(tmp, contents);
-  // Atomic replace: a crash between write and rename leaves the previous
-  // checkpoint file untouched.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int rename_err = errno;
-    if (rename_err == EXDEV) {
-      // tmp landed on a different filesystem (caller-provided tmp_dir):
-      // rename can't cross mounts, so fall back to a second synced copy in
-      // the TARGET directory and rename that — still atomic at the final
-      // hop, never a direct (tearable) write of the live path.
-      const std::string local_tmp = path + ".tmp";
-      write_file_synced(local_tmp, contents);
-      FLAML_REQUIRE(std::rename(local_tmp.c_str(), path.c_str()) == 0,
-                    "failed to rename '" << local_tmp << "' to '" << path
-                                         << "' — " << std::strerror(errno));
-      std::remove(tmp.c_str());
-    } else {
-      FLAML_REQUIRE(false, "failed to rename '" << tmp << "' to '" << path
-                                                << "' — "
-                                                << std::strerror(rename_err));
-    }
-  }
-  sync_parent_dir(path);
+void write_checkpoint_file(const std::string& path, const JsonValue& payload) {
+  write_file_durable(path, serialize_checkpoint(payload));
 }
 
 JsonValue read_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    // A leftover "<path>.tmp" with no final file means the writer died (or
-    // was interrupted) mid-checkpoint. The tmp may be half-written, so it
-    // must NEVER be loaded in its place — surface a typed, explicit error
-    // instead of the generic "cannot open" so the operator knows a
-    // checkpoint was lost rather than never written.
-    std::ifstream tmp(path + ".tmp", std::ios::binary);
-    FLAML_PARSE_REQUIRE(!tmp.good(),
-                        "checkpoint file '"
-                            << path << "' is missing but a leftover '" << path
-                            << ".tmp' exists — the writer was interrupted "
-                               "mid-checkpoint; the tmp file may be "
-                               "half-written and will not be loaded");
-  }
-  FLAML_PARSE_REQUIRE(in.good(), "cannot open checkpoint file '" << path << "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  FLAML_PARSE_REQUIRE(!in.bad(), "failed reading checkpoint file '" << path << "'");
-  return parse_checkpoint(buffer.str());
+  return parse_payload(read_sealed_file(path, kCheckpointFormat));
 }
 
 void SearchCheckpoint::save(const std::string& path) const {

@@ -10,16 +10,12 @@
 // produces the identical trial history, best error and run-summary totals
 // as the never-interrupted run, serial and parallel.
 //
-// On-disk format (version 3; v2 added the per-learner eci last_ok_cost
-// field, v3 added the racing envelope state and per-pending-trial racing
-// plan snapshots — no silent migration, older files are rejected):
-//   flaml-checkpoint v3 <nbytes> <fnv64hex>\n
-//   <exactly nbytes bytes of compact JSON payload>
-// The FNV-1a 64 checksum covers the payload bytes, so ANY truncation or bit
-// flip — including ones that would still parse as valid JSON — surfaces as
-// a SerializationError, never as a silently different search. Writes go to
-// "<path>.tmp" and are renamed into place, so a crash mid-write leaves the
-// previous checkpoint intact.
+// On disk a checkpoint is a sealed file (src/common/sealed_file.h: the
+// magic/version/size/checksum header, the durable atomic write and the
+// bounded reader) holding compact JSON. Version 3: v2 added the per-learner
+// eci last_ok_cost field, v3 the racing envelope state and per-pending-trial
+// racing plan snapshots. There is no silent migration: older files are
+// rejected.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +25,14 @@
 
 #include "automl/history.h"
 #include "common/json.h"
+#include "common/sealed_file.h"
 #include "resume/serial_util.h"
 
 namespace flaml::resume {
 
 inline constexpr int kCheckpointVersion = 3;
-
-// FNV-1a 64-bit over a byte range (the payload checksum).
-std::uint64_t fnv1a64(const char* data, std::size_t n);
+inline constexpr SealedFormat kCheckpointFormat{"flaml-checkpoint", kCheckpointVersion,
+                                                1ull << 31};
 
 // Binary blob <-> lowercase hex (model blobs inside the JSON payload).
 std::string encode_blob(const std::string& bytes);
@@ -117,27 +113,18 @@ struct SearchCheckpoint {
   // field or violated cross-field invariant.
   static SearchCheckpoint from_json(const JsonValue& payload);
 
-  // Atomic file I/O in the checksummed container format above.
+  // Durable file I/O in the sealed container (write/read_checkpoint_file).
   void save(const std::string& path) const;
   static SearchCheckpoint load(const std::string& path);
 };
 
-// Container layer, exposed separately so tests can corrupt payloads:
-// serialize wraps a payload in the header+checksum envelope; parse verifies
-// the envelope and returns the payload (SerializationError on any damage).
+// Text layer, exposed separately so tests can corrupt payloads: serialize
+// seals the compact JSON; parse unseals it and parses the JSON
+// (SerializationError on any damage).
 std::string serialize_checkpoint(const JsonValue& payload);
 JsonValue parse_checkpoint(const std::string& text);
-// Durable atomic write: "<path>.tmp" is written and fsync'd, renamed into
-// place, and the directory entry fsync'd — a crash at any point leaves
-// either the previous checkpoint or the new one, never a torn file that a
-// later write()-without-sync could have surfaced. A non-empty `tmp_dir`
-// stages the tmp file there instead; when that crosses a filesystem
-// boundary (rename fails with EXDEV) the write falls back to a second
-// synced copy next to the target. Reading a `path` that is missing while
-// its "<path>.tmp" survives throws a SerializationError naming the tmp —
-// a possibly half-written tmp is never loaded as a checkpoint.
-void write_checkpoint_file(const std::string& path, const JsonValue& payload,
-                           const std::string& tmp_dir = "");
+// write_file_durable / read_sealed_file over the sealed JSON.
+void write_checkpoint_file(const std::string& path, const JsonValue& payload);
 JsonValue read_checkpoint_file(const std::string& path);
 
 }  // namespace flaml::resume

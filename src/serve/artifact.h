@@ -1,14 +1,7 @@
-// Versioned + checksummed on-disk container for compiled serving models,
-// reusing the `flaml-checkpoint` header / FNV-1a discipline from
-// src/resume/checkpoint.*:
-//
-//   flaml-compiled v1 <nbytes> <fnv64hex>\n
-//   <exactly nbytes bytes of binary little-endian payload>
-//
-// The checksum covers the payload bytes, so ANY truncation or bit flip —
-// header or payload — surfaces as a typed SerializationError, never as UB
-// or a silently different model. Writes go to "<path>.tmp" and rename into
-// place, so a crash mid-write leaves the previous artifact intact.
+// On-disk format of compiled serving models: a sealed file
+// (src/common/sealed_file.h: the magic/version/size/checksum header, the
+// durable atomic write and the bounded reader) whose payload is written by
+// CompiledModel::serialize with ByteWriter and read back with ByteReader.
 //
 // ByteWriter/ByteReader are the payload codec: explicit little-endian
 // integer/IEEE-754 encoding (independent of host endianness), with every
@@ -20,13 +13,11 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/sealed_file.h"
 
 namespace flaml::serve {
 
-inline constexpr int kArtifactVersion = 1;
-// Allocation cap for a declared payload size (matches the checkpoint
-// loader's discipline: reject absurd sizes before touching memory).
-inline constexpr std::uint64_t kMaxArtifactBytes = 1ull << 31;
+inline constexpr SealedFormat kArtifactFormat{"flaml-compiled", 1, 1ull << 31};
 
 class ByteWriter {
  public:
@@ -105,15 +96,5 @@ class ByteReader {
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
-
-// Envelope layer, exposed separately so tests can corrupt payloads.
-std::string wrap_artifact(const std::string& payload);
-// Verifies magic, version, declared size and checksum; returns the payload.
-// Throws SerializationError on any damage.
-std::string unwrap_artifact(const std::string& text);
-
-// Atomic file I/O (tmp + rename) in the envelope format.
-void write_artifact_file(const std::string& path, const std::string& payload);
-std::string read_artifact_file(const std::string& path);
 
 }  // namespace flaml::serve

@@ -598,11 +598,11 @@ CompiledModel CompiledModel::deserialize(const std::string& payload) {
 }
 
 void CompiledModel::save_file(const std::string& path) const {
-  write_artifact_file(path, serialize());
+  write_file_durable(path, seal(kArtifactFormat, serialize()));
 }
 
 CompiledModel CompiledModel::load_file(const std::string& path) {
-  return deserialize(read_artifact_file(path));
+  return deserialize(read_sealed_file(path, kArtifactFormat));
 }
 
 }  // namespace flaml::serve

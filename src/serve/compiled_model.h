@@ -58,14 +58,14 @@ class CompiledModel {
   // n_features() columns.
   Predictions predict_many(const DataView& view, int n_threads = 1) const;
 
-  // Binary payload <-> compiled model (the artifact.h envelope is applied by
-  // save_file/load_file; serialize returns the raw payload so tests can
-  // target payload bytes directly). deserialize validates structurally and
+  // Binary payload <-> compiled model (save_file/load_file seal it in the
+  // kArtifactFormat container of artifact.h; serialize returns the raw
+  // payload so tests can target payload bytes directly). deserialize validates structurally and
   // throws SerializationError on any damage.
   std::string serialize() const;
   static CompiledModel deserialize(const std::string& payload);
 
-  // Envelope + atomic file I/O.
+  // Durable sealed-file I/O (src/common/sealed_file.h).
   void save_file(const std::string& path) const;
   static CompiledModel load_file(const std::string& path);
 

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/sealed_file.h"
 #include "common/thread_pool.h"
-#include "resume/checkpoint.h"
 #include "resume/serial_util.h"
 #include "serve/artifact.h"
 
@@ -75,12 +75,16 @@ PredictDaemon::ModelInfo PredictDaemon::info_locked() const {
 }
 
 PredictDaemon::ModelInfo PredictDaemon::load(const std::string& artifact_path) {
-  // Read + checksum the bytes ONCE, so the installed model and the reload
-  // fingerprint describe the same snapshot even if the file is rewritten
+  const std::string payload = read_sealed_file(artifact_path, kArtifactFormat);
+  return install(artifact_path, payload, content_fingerprint(payload));
+}
+
+PredictDaemon::ModelInfo PredictDaemon::install(const std::string& artifact_path,
+                                                const std::string& payload,
+                                                std::uint64_t fingerprint) {
+  // The model and the reload fingerprint come from the same bytes, read
+  // once, so they describe one snapshot even if the file is rewritten
   // concurrently. Throws (SerializationError) before touching the hot slot.
-  const std::string payload = read_artifact_file(artifact_path);
-  const std::uint64_t fingerprint =
-      resume::fnv1a64(payload.data(), payload.size()) ^ payload.size();
   auto model =
       std::make_shared<const CompiledModel>(CompiledModel::deserialize(payload));
 
@@ -124,11 +128,10 @@ std::optional<PredictDaemon::ModelInfo> PredictDaemon::poll_reload() {
     path = artifact_path_;
     last = artifact_fingerprint_;
   }
-  const std::string payload = read_artifact_file(path);
-  if ((resume::fnv1a64(payload.data(), payload.size()) ^ payload.size()) == last) {
-    return std::nullopt;
-  }
-  ModelInfo info = load(path);
+  const std::string payload = read_sealed_file(path, kArtifactFormat);
+  const std::uint64_t fingerprint = content_fingerprint(payload);
+  if (fingerprint == last) return std::nullopt;
+  ModelInfo info = install(path, payload, fingerprint);
   metrics_.add("predict.swaps");
   return info;
 }

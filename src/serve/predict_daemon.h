@@ -143,6 +143,10 @@ class PredictDaemon {
   void serve_batch(std::vector<std::shared_ptr<Pending>> batch,
                    std::shared_ptr<const CompiledModel> model,
                    std::uint64_t generation);
+  // Deserialize a verified artifact payload read from `artifact_path` and
+  // make it the serving model.
+  ModelInfo install(const std::string& artifact_path, const std::string& payload,
+                    std::uint64_t fingerprint);
   ModelInfo install_locked(std::shared_ptr<const CompiledModel> model,
                            const std::string& source,
                            std::uint64_t fingerprint);

@@ -4,8 +4,8 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/sealed_file.h"
 #include "data/csv.h"
-#include "resume/checkpoint.h"
 
 namespace flaml::server {
 
@@ -33,8 +33,7 @@ std::shared_ptr<const Dataset> DatasetCache::load_csv(
   // WOULD see, so hit detection and the parse consume the same snapshot
   // even when the file is rewritten concurrently.
   const std::string bytes = read_file_bytes(path);
-  const std::uint64_t fingerprint =
-      resume::fnv1a64(bytes.data(), bytes.size()) ^ bytes.size();
+  const std::uint64_t fingerprint = content_fingerprint(bytes);
   const std::string key =
       "csv:" + path + "|" + task_name(task) + "|" + label_column;
 

@@ -94,13 +94,4 @@ void Tree::add_feature_gains(std::vector<double>& gains) const {
   }
 }
 
-void Tree::add_predictions(const DataView& view, double scale,
-                           std::vector<double>& out) const {
-  FLAML_CHECK(out.size() == view.n_rows());
-  const Dataset& data = view.data();
-  for (std::size_t i = 0; i < view.n_rows(); ++i) {
-    out[i] += scale * predict_row(data, view.row_index(i));
-  }
-}
-
 }  // namespace flaml

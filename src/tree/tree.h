@@ -60,10 +60,6 @@ class Tree {
     return nodes_[static_cast<std::size_t>(leaf_index(data, row))].leaf_value;
   }
 
-  // Predict every row of the view, ADDING scale * leaf_value into out.
-  void add_predictions(const DataView& view, double scale,
-                       std::vector<double>& out) const;
-
   // Accumulate per-feature split gains into `gains` (size >= any feature id
   // used by this tree).
   void add_feature_gains(std::vector<double>& gains) const;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "resume/checkpoint.h"
+#include "common/sealed_file.h"
 #include "data/generators.h"
 #include "forest/forest.h"
 #include "boosting/gbdt.h"
@@ -62,28 +62,28 @@ std::string linear_payload() {
 }
 
 void parse_artifact(const std::string& text) {
-  serve::CompiledModel::deserialize(serve::unwrap_artifact(text));
+  serve::CompiledModel::deserialize(unseal(serve::kArtifactFormat, text));
 }
 
 // The envelope bytes of a real artifact are pinned, so a change to the
 // container code cannot silently change what an artifact file holds.
 TEST(CompiledArtifactFormat, EnvelopeBytesArePinned) {
-  const std::string text = serve::wrap_artifact(linear_payload());
+  const std::string text = seal(serve::kArtifactFormat, linear_payload());
   EXPECT_EQ(text.size(), 205u);
-  EXPECT_EQ(resume::fnv1a64(text.data(), text.size()), 0x509b656e898ed831ULL);
+  EXPECT_EQ(fnv1a64(text), 0x509b656e898ed831ULL);
 }
 
 TEST(CompiledArtifactAdversarial, EveryTruncationThrows) {
-  expect_every_truncation_throws(serve::wrap_artifact(gbdt_payload()), parse_artifact);
+  expect_every_truncation_throws(seal(serve::kArtifactFormat, gbdt_payload()), parse_artifact);
 }
 
 TEST(CompiledArtifactAdversarial, EveryBitFlipThrows) {
-  expect_every_bit_flip_throws(serve::wrap_artifact(gbdt_payload()), parse_artifact);
+  expect_every_bit_flip_throws(seal(serve::kArtifactFormat, gbdt_payload()), parse_artifact);
 }
 
 TEST(CompiledArtifactAdversarial, HeaderTamperingThrows) {
   const std::string payload = linear_payload();
-  const std::string text = serve::wrap_artifact(payload);
+  const std::string text = seal(serve::kArtifactFormat, payload);
   const std::size_t newline = text.find('\n');
   ASSERT_NE(newline, std::string::npos);
   const std::string header = text.substr(0, newline);

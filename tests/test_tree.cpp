@@ -76,16 +76,6 @@ TEST(Tree, CategoricalRouting) {
   EXPECT_DOUBLE_EQ(tree.predict_row(data, 1), 10.0);  // code 1 == 1
 }
 
-TEST(Tree, AddPredictionsAccumulates) {
-  Tree tree;
-  tree.node(0).leaf_value = 2.0;
-  Dataset data = two_feature_data();
-  DataView view(data);
-  std::vector<double> out(3, 1.0);
-  tree.add_predictions(view, 0.5, out);
-  for (double v : out) EXPECT_DOUBLE_EQ(v, 2.0);
-}
-
 TEST(Tree, DepthOfChain) {
   Tree tree;
   tree.node(0).feature = 0;
