@@ -1,7 +1,8 @@
 // Prediction-serving benchmark for the micro-batching daemon
 // (src/serve/predict_daemon.h). Trains a GBDT serving ensemble, compiles
 // and saves it as a `flaml-compiled v1` artifact, then drives the daemon
-// with concurrent client threads at several batch windows and writes
+// with concurrent client threads at several batch windows (the
+// max_batch_rows cap; the batcher flushes whenever it is free) and writes
 // machine-readable results to BENCH_predict_serve.json: a direct
 // predict_many baseline plus, per (batch window × client count), per-request
 // latency percentiles (p50/p90/p99), rows/sec throughput and the observed
@@ -105,7 +106,6 @@ JsonValue bench_window(const serve::CompiledModel& model,
                        bool* identical_out) {
   serve::PredictDaemonOptions options;
   options.max_batch_rows = spec.max_batch_rows;
-  options.max_batch_delay_ms = 0.5;
   options.n_threads = 2;
   serve::PredictDaemon daemon(options);
   daemon.load(artifact_path);

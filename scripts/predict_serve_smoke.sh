@@ -6,7 +6,8 @@
 # predict from inline rows and from an unlabeled CSV, hot-swap to the
 # second artifact, reload-poll, stats, drain, shutdown — checking every
 # response line. An error request (predict before rows) must produce a
-# typed refusal, not tear the stream down.
+# typed refusal, not tear the stream down. Malformed --max-batch-rows /
+# --threads values must be refused before the daemon starts.
 #
 # Usage:
 #   scripts/predict_serve_smoke.sh [bindir]   # default build/tools
@@ -90,5 +91,20 @@ expect 9  '"generation":2'        "post-swap replies come from generation 2"
 expect 10 '"predict.requests"'    "stats exposes request counters"
 expect 11 '"drained":true'        "drain acknowledges"
 expect 12 '"bye":true'            "shutdown acknowledges"
+
+# Batch and thread flags are whole integers in range: anything else exits 2
+# with the usage text instead of wrapping (-1 -> 2^64-1) or truncating
+# (12abc -> 12) into a running daemon.
+for bad in --max-batch-rows=-1 --max-batch-rows=0 --max-batch-rows=12abc \
+           --threads=-1 --threads=1.5 --threads=; do
+  status=0
+  "$bindir/flaml_predict_serve" serve "$bad" < /dev/null > /dev/null \
+    2> "$workdir/usage" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q '^usage:' "$workdir/usage"; then
+    echo "predict_serve_smoke: FAIL [serve $bad exits 2 with the usage text]" >&2
+    echo "  exit status $status, stderr: $(cat "$workdir/usage")" >&2
+    exit 1
+  fi
+done
 
 echo "predict_serve_smoke: OK ($(wc -l < "$workdir/responses") responses, $bindir)"

@@ -12,10 +12,10 @@
 //
 // On disk a checkpoint is a sealed file (src/common/sealed_file.h: the
 // magic/version/size/checksum header, the durable atomic write and the
-// bounded reader) holding compact JSON. Version 3: v2 added the per-learner
+// bounded reader) holding compact JSON. Version 4: v2 added the per-learner
 // eci last_ok_cost field, v3 the racing envelope state and per-pending-trial
-// racing plan snapshots. There is no silent migration: older files are
-// rejected.
+// racing plan snapshots, v4 metrics histograms as bucket counts instead of
+// raw samples. There is no silent migration: older files are rejected.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@
 
 namespace flaml::resume {
 
-inline constexpr int kCheckpointVersion = 3;
+inline constexpr int kCheckpointVersion = 4;
 inline constexpr SealedFormat kCheckpointFormat{"flaml-checkpoint", kCheckpointVersion,
                                                 1ull << 31};
 

@@ -131,13 +131,17 @@ std::size_t req_size(const JsonValue& obj, const char* key, std::size_t max_valu
   return static_cast<std::size_t>(v.number);
 }
 
-std::int64_t req_int(const JsonValue& obj, const char* key, std::int64_t lo,
-                     std::int64_t hi) {
-  const JsonValue& v = req_field(obj, key);
+std::int64_t int_value(const JsonValue& v, const char* what, std::int64_t lo,
+                       std::int64_t hi) {
   FLAML_PARSE_REQUIRE(
       is_integral_in(v, static_cast<double>(lo), static_cast<double>(hi)),
-      "field '" << key << "' must be an integer in [" << lo << ", " << hi << "]");
+      "'" << what << "' must be an integer in [" << lo << ", " << hi << "]");
   return static_cast<std::int64_t>(v.number);
+}
+
+std::int64_t req_int(const JsonValue& obj, const char* key, std::int64_t lo,
+                     std::int64_t hi) {
+  return int_value(req_field(obj, key), key, lo, hi);
 }
 
 const JsonValue& req_array(const JsonValue& obj, const char* key,

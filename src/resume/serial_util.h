@@ -53,6 +53,9 @@ std::size_t req_size(const JsonValue& obj, const char* key, std::size_t max_valu
 // Integral value within [lo, hi].
 std::int64_t req_int(const JsonValue& obj, const char* key, std::int64_t lo,
                      std::int64_t hi);
+// Decode a bare integral value within [lo, hi] (used for array elements).
+std::int64_t int_value(const JsonValue& v, const char* what, std::int64_t lo,
+                       std::int64_t hi);
 const JsonValue& req_array(const JsonValue& obj, const char* key,
                            std::size_t max_items);
 const JsonValue& req_object(const JsonValue& obj, const char* key);

@@ -19,6 +19,17 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+PredictDaemonOptions resolved(PredictDaemonOptions options) {
+  FLAML_REQUIRE(options.max_batch_rows >= 1,
+                "predict daemon needs max_batch_rows >= 1");
+  FLAML_REQUIRE(options.n_threads >= 0, "predict daemon needs n_threads >= 0");
+  if (options.n_threads == 0) {
+    options.n_threads =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  }
+  return options;
+}
+
 const char* kind_name(CompiledKind kind) {
   switch (kind) {
     case CompiledKind::Gbdt: return "gbdt";
@@ -31,16 +42,10 @@ const char* kind_name(CompiledKind kind) {
 }  // namespace
 
 PredictDaemon::PredictDaemon(PredictDaemonOptions options)
-    : options_(std::move(options)), tracer_(options_.trace_sink) {
-  FLAML_REQUIRE(options_.max_batch_rows >= 1,
-                "predict daemon needs max_batch_rows >= 1");
-  FLAML_REQUIRE(options_.max_batch_delay_ms >= 0.0,
-                "predict daemon needs max_batch_delay_ms >= 0");
+    : options_(resolved(std::move(options))), tracer_(options_.trace_sink) {
   if (tracer_) {
     JsonValue fields = JsonValue::make_object();
     fields.set("max_batch_rows", resume::json_size(options_.max_batch_rows));
-    fields.set("max_batch_delay_ms",
-               JsonValue::make_number(options_.max_batch_delay_ms));
     fields.set("n_threads", JsonValue::make_number(options_.n_threads));
     tracer_.emit("predict_daemon_started", std::move(fields));
   }
@@ -227,18 +232,10 @@ JsonValue PredictDaemon::stats() const {
 void PredictDaemon::batcher_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
+    // Flush as soon as the batcher is free: a lone request is served at
+    // once, and whatever queued while the previous batch ran forms the
+    // next one.
     cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (stop_) return;
-
-    // The window: flush when enough rows accumulated, when the oldest
-    // request has waited long enough, or on shutdown.
-    const auto deadline =
-        queue_.front()->enqueued +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(options_.max_batch_delay_ms));
-    cv_work_.wait_until(lock, deadline, [&] {
-      return stop_ || queued_rows_ >= options_.max_batch_rows;
-    });
     if (stop_) return;
 
     // Take WHOLE requests from the front until the batch is full. The first

@@ -3,14 +3,15 @@
 //
 // A PredictDaemon owns one hot CompiledModel slot plus a single batcher
 // thread. Callers (one per client connection) enqueue whole requests with
-// predict(); the batcher accumulates queued requests until either
-// `max_batch_rows` rows are waiting or the OLDEST queued request has waited
-// `max_batch_delay_ms`, then serves the accumulated requests as ONE
-// row-sharded CompiledModel::predict_many call over the shared ThreadPool
-// and scatters the per-row results back to each caller. Because
+// predict(). The batcher flushes as soon as it is free: it takes whole
+// requests from the front of the queue, up to `max_batch_rows` rows, and
+// serves them as ONE row-sharded CompiledModel::predict_many call over the
+// shared ThreadPool, scattering the per-row results back to each caller.
+// Requests that arrive while a batch runs form the next batch, so batches
+// grow with load and a lone request never waits on a timer. Because
 // predict_many computes every row independently and in row order
 // (compiled_model.h determinism contract), batching requests together is
-// BIT-identical to predicting each request alone — at every batch window,
+// BIT-identical to predicting each request alone — at every batch size,
 // thread count and request interleaving. tests/test_predict_daemon.cpp
 // pins that equality.
 //
@@ -56,11 +57,10 @@
 namespace flaml::serve {
 
 struct PredictDaemonOptions {
-  // Flush the pending queue once this many rows are waiting...
+  // A batch takes whole queued requests until it holds this many rows.
   std::size_t max_batch_rows = 256;
-  // ...or once the oldest queued request has waited this long.
-  double max_batch_delay_ms = 2.0;
-  // Threads per predict_many call (0 = hardware concurrency).
+  // Threads per predict_many call (0 = hardware concurrency, resolved once
+  // by the constructor).
   int n_threads = 0;
   // Optional structured trace sink (predict_* events).
   observe::TraceSinkPtr trace_sink;
@@ -91,7 +91,7 @@ class PredictDaemon {
     // Occupancy of the batch that served this request.
     std::size_t batch_rows = 0;
     std::size_t batch_requests = 0;
-    // Time the request spent queued before its batch flushed.
+    // Time the request spent queued before its batch started.
     double queue_ms = 0.0;
   };
 

@@ -94,7 +94,7 @@ inline void expect_resume_histories_equal(const TrialHistory& a,
 }
 
 // The run_summary totals: every counter/gauge except the wall-clock
-// time_to_best_seconds, plus full histogram stats (raw samples round-trip
+// time_to_best_seconds, plus full histogram state (bucket counts round-trip
 // through the checkpoint, so percentiles must match exactly too).
 inline void expect_resume_metrics_equal(const observe::MetricsRegistry& a,
                                         const observe::MetricsRegistry& b,
@@ -125,18 +125,11 @@ inline void expect_resume_metrics_equal(const observe::MetricsRegistry& a,
     ASSERT_NE(other, nullptr) << what << " scalar " << name;
     EXPECT_DOUBLE_EQ(value.number, other->number) << what << " scalar " << name;
   }
-  const JsonValue& samples_a = ja.at("samples");
-  const JsonValue& samples_b = jb.at("samples");
-  ASSERT_EQ(samples_a.object.size(), samples_b.object.size()) << what;
-  for (const auto& [name, arr] : samples_a.object) {
-    const JsonValue* other = samples_b.find(name);
-    ASSERT_NE(other, nullptr) << what << " histogram " << name;
-    ASSERT_EQ(arr.array.size(), other->array.size()) << what << " histogram " << name;
-    for (std::size_t i = 0; i < arr.array.size(); ++i) {
-      EXPECT_DOUBLE_EQ(arr.array[i].number, other->array[i].number)
-          << what << " histogram " << name << " sample " << i;
-    }
-  }
+  // Histogram state is exact (sum/min/max and every bucket count), so its
+  // serialized form must match byte for byte.
+  EXPECT_EQ(dump_json_compact(ja.at("histograms")),
+            dump_json_compact(jb.at("histograms")))
+      << what;
 }
 
 // Full crash-equivalence assertion against a reference AutoML that ran

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "automl/automl.h"
 #include "common/error.h"
@@ -171,6 +175,127 @@ TEST(MetricsRegistry, RejectsNonFiniteSamples) {
   EXPECT_THROW(
       metrics.observe("trial_error", std::numeric_limits<double>::infinity()),
       InvalidArgument);
+}
+
+// Every value in a JSON tree, containers included.
+std::size_t count_values(const JsonValue& value) {
+  std::size_t n = 1;
+  for (const JsonValue& item : value.array) n += count_values(item);
+  for (const auto& [key, item] : value.object) n += count_values(item);
+  return n;
+}
+
+TEST(MetricsRegistry, HistogramStateStopsGrowingOnceEveryBucketIsHit) {
+  MetricsRegistry metrics;
+  // A repeating spread of latencies: the first thousand samples hit every
+  // bucket the next million will.
+  const auto sample = [](int i) { return 0.05 + 0.01 * (i % 1000); };
+  for (int i = 0; i < 1000; ++i) metrics.observe("latency_ms", sample(i));
+  const std::size_t size = count_values(metrics.state_to_json());
+  for (int i = 1000; i < 1000000; ++i) metrics.observe("latency_ms", sample(i));
+  EXPECT_EQ(count_values(metrics.state_to_json()), size);
+  EXPECT_EQ(metrics.histogram("latency_ms").n, 1000000u);
+}
+
+TEST(MetricsRegistry, PercentilesAreNearestRankWithinOneBucket) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> exponent(-12.0, 12.0);
+  MetricsRegistry metrics;
+  std::vector<double> samples;
+  double sum = 0.0;
+  for (int i = 0; i < 5000; ++i) {
+    // Mixed signs and magnitudes, plus exact zeros.
+    double v = i % 97 == 0 ? 0.0 : std::exp2(exponent(rng));
+    if (i % 5 == 0) v = -v;
+    samples.push_back(v);
+    sum += v;
+    metrics.observe("h", v);
+  }
+  std::sort(samples.begin(), samples.end());
+  const auto nearest_rank = [&](double q) {
+    return samples[static_cast<std::size_t>(
+        q * static_cast<double>(samples.size() - 1) + 0.5)];
+  };
+  const auto stats = metrics.histogram("h");
+  EXPECT_EQ(stats.n, samples.size());
+  EXPECT_EQ(stats.min, samples.front());
+  EXPECT_EQ(stats.max, samples.back());
+  EXPECT_EQ(stats.sum, sum);  // exact: accumulated in observation order
+  for (const auto& [q, got] : {std::pair{0.5, stats.p50}, std::pair{0.9, stats.p90}}) {
+    const double exact = nearest_rank(q);
+    EXPECT_LE(std::fabs(got - exact), std::fabs(exact) / 64.0) << "q=" << q;
+  }
+}
+
+TEST(MetricsRegistry, StateRoundTripContinuesLikeTheUninterruptedRegistry) {
+  MetricsRegistry uninterrupted;
+  MetricsRegistry first_half;
+  for (int i = 0; i < 300; ++i) {
+    const double v = std::sin(i) * 100.0;
+    uninterrupted.observe("h", v);
+    if (i < 150) first_half.observe("h", v);
+  }
+  MetricsRegistry resumed;
+  resumed.state_from_json(parse_json(dump_json_compact(first_half.state_to_json())));
+  for (int i = 150; i < 300; ++i) resumed.observe("h", std::sin(i) * 100.0);
+  EXPECT_EQ(dump_json_compact(resumed.state_to_json()),
+            dump_json_compact(uninterrupted.state_to_json()));
+  EXPECT_EQ(dump_json_compact(resumed.to_json()),
+            dump_json_compact(uninterrupted.to_json()));
+}
+
+// The state of a registry that observed 1, 3 and 3 under "h", with `edit`
+// applied to that histogram's entry.
+template <typename Edit>
+JsonValue edited_state(Edit edit) {
+  MetricsRegistry source;
+  for (double v : {1.0, 3.0, 3.0}) source.observe("h", v);
+  JsonValue state = source.state_to_json();
+  JsonValue h = state.at("histograms").at("h");
+  edit(h);
+  state.set("histograms", JsonValue::make_object()).set("h", std::move(h));
+  return state;
+}
+
+TEST(MetricsRegistry, CorruptHistogramStateIsRejectedAndChangesNothing) {
+  MetricsRegistry metrics;
+  metrics.state_from_json(edited_state([](JsonValue&) {}));
+  EXPECT_EQ(metrics.histogram("h").n, 3u);
+  EXPECT_DOUBLE_EQ(metrics.histogram("h").p50, 3.0);
+
+  const auto edit_buckets = [](auto edit) {
+    return edited_state([&](JsonValue& h) {
+      JsonValue buckets = h.at("buckets");
+      edit(buckets);
+      h.set("buckets", std::move(buckets));
+    });
+  };
+  const std::vector<std::pair<std::string, JsonValue>> corrupt = {
+      {"no buckets", edit_buckets([](JsonValue& b) { b.array.clear(); })},
+      {"key out of range",
+       edit_buckets([](JsonValue& b) { b.array[0].array[0] = JsonValue::make_number(1e9); })},
+      {"descending keys",
+       edit_buckets([](JsonValue& b) { std::reverse(b.array.begin(), b.array.end()); })},
+      {"zero count",
+       edit_buckets([](JsonValue& b) { b.array[0].array[1] = JsonValue::make_number(0.0); })},
+      {"fractional count",
+       edit_buckets([](JsonValue& b) { b.array[0].array[1] = JsonValue::make_number(1.5); })},
+      {"not a pair", edit_buckets([](JsonValue& b) { b.array[0].array.pop_back(); })},
+      {"min outside the first bucket",
+       edited_state([](JsonValue& h) { h.set("min", JsonValue::make_number(2.0)); })},
+      {"min above max",
+       edited_state([](JsonValue& h) { h.set("min", JsonValue::make_number(5.0)); })},
+      {"infinite max",
+       edited_state([](JsonValue& h) { h.set("max", JsonValue::make_string("inf")); })},
+      {"NaN sum",
+       edited_state([](JsonValue& h) { h.set("sum", JsonValue::make_string("nan")); })},
+      {"raw samples of the v3 form",
+       parse_json(R"({"scalars":{},"samples":{"h":[1,3,3]}})")},
+  };
+  for (const auto& [what, state] : corrupt) {
+    EXPECT_THROW(metrics.state_from_json(state), SerializationError) << what;
+    EXPECT_EQ(metrics.histogram("h").n, 3u) << what;
+  }
 }
 
 // --- Trace validation -----------------------------------------------------

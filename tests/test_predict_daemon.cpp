@@ -1,6 +1,6 @@
 // Differential suite for the prediction daemon (src/serve/predict_daemon.h)
 // and its wire service: micro-batched serving must be BIT-identical to
-// direct CompiledModel::predict_many for every batch window, thread count
+// direct CompiledModel::predict_many for every batch size, thread count
 // and request interleaving (whole requests are never split, and per-row
 // computation is row-independent); hot swap must atomically move every
 // subsequent reply to the new generation; corrupt artifacts and malformed
@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -125,26 +129,71 @@ Predictions direct_predict(const CompiledModel& model,
   return model.predict_many(DataView(data), 1);
 }
 
-// The headline contract: concurrent requests, batched however the window
-// slices them, must come back bit-identical to direct predict_many.
+// A trace sink that parks the batcher inside the predict_batch event of its
+// first batch until release(): requests sent meanwhile queue up behind it.
+class BatchGate final : public observe::TraceSink {
+ public:
+  void emit(const observe::TraceEvent& event) override {
+    if (event.type != "predict_batch") return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return open_; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Polls `done` until it holds or 30 s pass.
+template <typename Done>
+bool wait_until_true(Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The headline contract: concurrent requests, batched however the batcher
+// slices them, must come back bit-identical to direct predict_many. The
+// batcher flushes as soon as it is free, so to make requests coalesce a
+// first request holds it (BatchGate) while the 8 others queue; once all 8
+// wait at once they must share batches whenever a batch may take more
+// than one row.
 void check_batched_differential(const CompiledModel& model,
                                 const std::string& artifact,
-                                std::size_t max_batch_rows, double delay_ms,
-                                int n_threads, const std::string& what) {
+                                std::size_t max_batch_rows, int n_threads,
+                                const std::string& what) {
+  auto gate = std::make_shared<BatchGate>();
   PredictDaemonOptions options;
   options.max_batch_rows = max_batch_rows;
-  options.max_batch_delay_ms = delay_ms;
   options.n_threads = n_threads;
+  options.trace_sink = gate;
   PredictDaemon daemon(options);
   daemon.load(artifact);
 
   const std::size_t kRequests = 8;
   std::vector<std::vector<std::vector<float>>> requests;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    // Mixed sizes: single rows, mid-size, and one larger than most windows.
+    // Mixed sizes: single rows, mid-size, and one larger than most batches.
     const std::size_t n_rows = i % 3 == 0 ? 1 : (i % 3 == 1 ? 9 : 40);
     requests.push_back(make_rows(n_rows, model.n_features(), 1000 + i));
   }
+
+  // The holder's reply is published before its batch's trace event, so
+  // predict() returns while the batcher stays parked in the gate.
+  const auto holder = make_rows(3, model.n_features(), 999);
+  expect_bits_equal(direct_predict(model, holder), daemon.predict(holder).pred,
+                    what + " holder");
 
   std::vector<PredictDaemon::Reply> replies(kRequests);
   std::vector<std::thread> clients;
@@ -153,26 +202,35 @@ void check_batched_differential(const CompiledModel& model,
     clients.emplace_back(
         [&, i] { replies[i] = daemon.predict(requests[i]); });
   }
+  const bool all_queued = wait_until_true([&] {
+    return daemon.stats().at("queued_requests").number == kRequests;
+  });
+  gate->release();
   for (auto& t : clients) t.join();
+  EXPECT_TRUE(all_queued) << what;
 
+  std::size_t most_requests = 0;
   for (std::size_t i = 0; i < kRequests; ++i) {
     expect_bits_equal(direct_predict(model, requests[i]), replies[i].pred,
                       what + " request " + std::to_string(i));
     EXPECT_EQ(replies[i].generation, 1u) << what;
     EXPECT_GE(replies[i].batch_rows, requests[i].size()) << what;
+    most_requests = std::max(most_requests, replies[i].batch_requests);
+  }
+  if (max_batch_rows > 1) {
+    EXPECT_GE(most_requests, 2u) << what << ": queued requests never coalesced";
   }
 }
 
 TEST(PredictDaemon, BatchedBitIdenticalAcrossWindowsAndThreads) {
   const CompiledModel model = train_compiled("lgbm", Task::Regression, 0xA1);
   const std::string artifact = write_artifact(model, "daemon_reg.bin");
-  for (const std::size_t window : {std::size_t{1}, std::size_t{16},
-                                   std::size_t{64}, std::size_t{100000}}) {
-    for (const int threads : {1, 3}) {
-      check_batched_differential(
-          model, artifact, window, window == 100000 ? 25.0 : 2.0, threads,
-          "window=" + std::to_string(window) +
-              " threads=" + std::to_string(threads));
+  for (const std::size_t max_rows : {std::size_t{1}, std::size_t{16},
+                                     std::size_t{64}, std::size_t{100000}}) {
+    for (const int threads : {0, 1, 3}) {
+      check_batched_differential(model, artifact, max_rows, threads,
+                                 "max_batch_rows=" + std::to_string(max_rows) +
+                                     " threads=" + std::to_string(threads));
     }
   }
 }
@@ -182,7 +240,7 @@ TEST(PredictDaemon, ClassificationProbabilitiesBatchBitIdentical) {
     const CompiledModel model = train_compiled("lgbm", task, 0xB2);
     const std::string artifact =
         write_artifact(model, std::string("daemon_cls_") + task_name(task) + ".bin");
-    check_batched_differential(model, artifact, 64, 10.0, 2,
+    check_batched_differential(model, artifact, 64, 2,
                                std::string("cls ") + task_name(task));
   }
 }
@@ -193,8 +251,26 @@ TEST(PredictDaemon, ForestAndLinearModelsServe) {
         train_compiled(learner, Task::BinaryClassification, 0xC3);
     const std::string artifact =
         write_artifact(model, std::string("daemon_") + learner + ".bin");
-    check_batched_differential(model, artifact, 32, 5.0, 2, learner);
+    check_batched_differential(model, artifact, 32, 2, learner);
   }
+}
+
+// No batch window: a request that finds the batcher idle is served at
+// once instead of waiting for company.
+TEST(PredictDaemon, LoneRequestIsNotHeld) {
+  const CompiledModel model = train_compiled("lgbm", Task::Regression, 0xA7);
+  const std::string artifact = write_artifact(model, "daemon_lone.bin");
+  PredictDaemon daemon;
+  daemon.load(artifact);
+  const auto rows = make_rows(4, model.n_features(), 77);
+  std::vector<double> queue_ms;
+  for (int i = 0; i < 50; ++i) {
+    const PredictDaemon::Reply reply = daemon.predict(rows);
+    EXPECT_EQ(reply.batch_requests, 1u);
+    queue_ms.push_back(reply.queue_ms);
+  }
+  std::nth_element(queue_ms.begin(), queue_ms.begin() + 25, queue_ms.end());
+  EXPECT_LT(queue_ms[25], 1.0);
 }
 
 TEST(PredictDaemon, SwapMovesEveryLaterReplyToTheNewGeneration) {
@@ -319,6 +395,7 @@ TEST(PredictDaemon, EmitsACheckableServingTrace) {
   auto sink = std::make_shared<observe::MemoryTraceSink>();
   {
     PredictDaemonOptions options;
+    options.n_threads = 0;  // resolved to the hardware concurrency
     options.trace_sink = sink;
     PredictDaemon daemon(options);
     daemon.load(path_a);
@@ -330,6 +407,8 @@ TEST(PredictDaemon, EmitsACheckableServingTrace) {
   const auto events = sink->snapshot();
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().type, "predict_daemon_started");
+  EXPECT_EQ(events.front().fields.at("n_threads").number,
+            static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
   EXPECT_EQ(events.back().type, "predict_daemon_shutdown");
   const auto result = observe::check_trace_events(events);
   EXPECT_TRUE(result.ok()) << (result.errors.empty() ? "" : result.errors[0]);

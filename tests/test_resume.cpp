@@ -203,7 +203,7 @@ JsonValue small_payload() {
 
 TEST(ResumeContainer, SerializeParseRoundTrip) {
   const std::string text = resume::serialize_checkpoint(small_payload());
-  ASSERT_EQ(text.rfind("flaml-checkpoint v3 ", 0), 0u) << text;
+  ASSERT_EQ(text.rfind("flaml-checkpoint v4 ", 0), 0u) << text;
   const JsonValue payload = resume::parse_checkpoint(text);
   EXPECT_EQ(payload.at("hello").str, "world");
   EXPECT_DOUBLE_EQ(payload.at("n").number, 3.0);
@@ -214,7 +214,7 @@ TEST(ResumeContainer, SerializeParseRoundTrip) {
 TEST(ResumeContainer, SerializedBytesArePinned) {
   const std::string text = resume::serialize_checkpoint(small_payload());
   EXPECT_EQ(text.size(), 63u) << text;
-  EXPECT_EQ(fnv1a64(text), 0xcff035c4714786c1ULL) << text;
+  EXPECT_EQ(fnv1a64(text), 0x5ec436a8a0c8af70ULL) << text;
 }
 
 TEST(ResumeContainer, EveryTruncationThrows) {
@@ -237,15 +237,18 @@ TEST(ResumeContainer, HeaderTamperingThrows) {
 
   EXPECT_THROW(resume::parse_checkpoint("flaml-model v2 1 0\n" + payload),
                SerializationError);
-  // A non-current version (the retired v1 here) must be rejected, not
-  // silently migrated.
-  EXPECT_THROW(
-      resume::parse_checkpoint("flaml-checkpoint v1 " +
-                               std::to_string(payload.size()) + " 0\n" + payload),
-      SerializationError);
+  // A non-current version (the retired v1 and v3 here) must be rejected,
+  // not silently migrated.
+  for (const std::string old_version : {"v1", "v3"}) {
+    EXPECT_THROW(resume::parse_checkpoint("flaml-checkpoint " + old_version + " " +
+                                          std::to_string(payload.size()) + " 0\n" +
+                                          payload),
+                 SerializationError)
+        << old_version;
+  }
   // Declared length shorter / longer than the actual payload.
   EXPECT_THROW(
-      resume::parse_checkpoint("flaml-checkpoint v3 " +
+      resume::parse_checkpoint("flaml-checkpoint v4 " +
                                std::to_string(payload.size() - 1) + " 0\n" +
                                payload),
       SerializationError);
@@ -256,7 +259,7 @@ TEST(ResumeContainer, HeaderTamperingThrows) {
   EXPECT_THROW(resume::parse_checkpoint(text + "x"), SerializationError);
   // Absurd declared size must not allocate.
   EXPECT_THROW(
-      resume::parse_checkpoint("flaml-checkpoint v3 99999999999999 0\n"),
+      resume::parse_checkpoint("flaml-checkpoint v4 99999999999999 0\n"),
       SerializationError);
 }
 
@@ -307,7 +310,7 @@ TEST(ResumeCheckpoint, PayloadFieldCorruptionThrows) {
 
   {
     JsonValue bad = payload;
-    bad.set("version", JsonValue::make_number(4.0));
+    bad.set("version", JsonValue::make_number(resume::kCheckpointVersion + 1));
     EXPECT_THROW(resume::SearchCheckpoint::from_json(bad), SerializationError);
   }
   {
@@ -542,7 +545,7 @@ TEST(ResumeDurability, LeftoverTmpNextToAValidCheckpointIsIgnored) {
   // LATER checkpoint write, before its rename) must not affect loading.
   {
     std::ofstream tmp(path + ".tmp", std::ios::binary);
-    tmp << "flaml-checkpoint v3 99 0\ntruncated mid-wri";
+    tmp << "flaml-checkpoint v4 99 0\ntruncated mid-wri";
   }
   const resume::SearchCheckpoint loaded = resume::SearchCheckpoint::load(path);
   EXPECT_EQ(loaded.iteration, 4u);
@@ -554,7 +557,7 @@ TEST(ResumeDurability, HalfWrittenTmpWithoutAFinalFileIsRefused) {
   std::remove(path.c_str());
   {
     std::ofstream tmp(path + ".tmp", std::ios::binary);
-    tmp << "flaml-checkpoint v3 99 0\ntruncated mid-wri";
+    tmp << "flaml-checkpoint v4 99 0\ntruncated mid-wri";
   }
   // The orphaned tmp may hold anything — loading it in place of the missing
   // final file would resurrect a torn checkpoint. The reader must refuse

@@ -7,16 +7,21 @@
 //
 // Daemon (protocol in src/serve/predict_service.h):
 //   flaml_predict_serve serve [--artifact=model.bin]
-//       [--max-batch-rows=256] [--batch-delay-ms=2] [--threads=0]
+//       [--max-batch-rows=256] [--threads=0]
 //       [--trace=events.jsonl]                                  # stdio
 //   flaml_predict_serve serve --socket=/tmp/predict.sock ...    # AF_UNIX
+//
+// --max-batch-rows caps the rows one batch takes (a larger request still
+// forms a batch of its own); --threads=0 means hardware concurrency. Both
+// must be whole integers in range, or serve exits 2 with the usage text.
 //
 // stdio mode reads one JSON request per line on stdin — scriptable with a
 // heredoc, which is what scripts/predict_serve_smoke.sh does in CI. Socket
 // mode (src/common/line_server.h) serves EACH connection on its own thread,
-// so the daemon's micro-batching window spans concurrent clients: requests
-// arriving within --batch-delay-ms of each other are scored as one
-// row-sharded predict_many call (bit-identical to scoring them alone).
+// so micro-batches span concurrent clients: the batcher serves a request as
+// soon as it is free, and requests that arrive while a batch runs are
+// scored together as one row-sharded predict_many call (bit-identical to
+// scoring them alone).
 //
 // Client (every subcommand needs --socket=PATH):
 //   flaml_predict_serve ping|stats|drain|reload|shutdown --socket=PATH
@@ -42,17 +47,21 @@ using namespace flaml::serve;
 
 namespace {
 
+constexpr long long kMaxBatchRowsFlag = 1 << 24;
+constexpr long long kMaxThreadsFlag = 1024;
+
 int usage() {
   std::fprintf(
       stderr,
       "usage: flaml_predict_serve compile (--model=F | --checkpoint=F) --out=F\n"
       "       flaml_predict_serve serve [--artifact=F] [--socket=PATH]\n"
-      "                   [--max-batch-rows=256] [--batch-delay-ms=2]\n"
-      "                   [--threads=0] [--trace=FILE]\n"
+      "                   [--max-batch-rows=256 (1..%lld)]\n"
+      "                   [--threads=0 (0..%lld, 0 = all cores)] [--trace=FILE]\n"
       "       flaml_predict_serve ping|stats|drain|reload|shutdown --socket=PATH\n"
       "       flaml_predict_serve load|swap --socket=PATH --artifact=F\n"
       "       flaml_predict_serve predict --socket=PATH --csv=rows.csv\n"
-      "       flaml_predict_serve request --socket=PATH --json='{\"op\":...}'\n");
+      "       flaml_predict_serve request --socket=PATH --json='{\"op\":...}'\n",
+      kMaxBatchRowsFlag, kMaxThreadsFlag);
   return 2;
 }
 
@@ -78,12 +87,13 @@ int run_compile(int argc, char** argv) {
 }
 
 int run_serve(int argc, char** argv) {
+  const auto max_batch_rows =
+      int_flag(argc, argv, "max-batch-rows", 256, 1, kMaxBatchRowsFlag);
+  const auto threads = int_flag(argc, argv, "threads", 0, 0, kMaxThreadsFlag);
+  if (!max_batch_rows || !threads) return usage();
   PredictDaemonOptions options;
-  options.max_batch_rows = static_cast<std::size_t>(
-      std::stoul(flag(argc, argv, "max-batch-rows", "256")));
-  options.max_batch_delay_ms =
-      std::stod(flag(argc, argv, "batch-delay-ms", "2"));
-  options.n_threads = std::stoi(flag(argc, argv, "threads", "0"));
+  options.max_batch_rows = static_cast<std::size_t>(*max_batch_rows);
+  options.n_threads = static_cast<int>(*threads);
   const std::string trace_path = flag(argc, argv, "trace", "");
   if (!trace_path.empty()) {
     options.trace_sink =
